@@ -121,10 +121,7 @@ def test_bench_runner(settings, repro_jobs, tmp_path):
     # explicit REPRO_JOBS_BACKEND resolves to the serial loop (this
     # grid previously recorded speedup_parallel 0.68 from a thread pool
     # time-slicing a single core), in which case the parallel pass is
-    # honestly skipped rather than timed as a pessimization.  With an
-    # explicit thread backend, jobs floor at 2 so even a one-core box
-    # measures real in-process overlap (shared stream banks +
-    # GIL-released numpy sections).
+    # honestly skipped rather than timed as a pessimization.
     backend, backend_reason = backend_choice()
     jobs_requested = max(2, repro_jobs)
     jobs = resolve_jobs(jobs_requested, backend)

@@ -71,11 +71,10 @@ def _add_run_options(cmd: argparse.ArgumentParser) -> None:
     )
     cmd.add_argument(
         "--jobs-backend",
-        choices=["serial", "thread", "process", "auto"],
+        choices=["serial", "process", "auto"],
         default=None,
         metavar="BACKEND",
-        help="parallel executor: 'process' (pool of workers), 'thread'"
-        " (in-process shards that share stream banks), 'serial'"
+        help="parallel executor: 'process' (pool of workers), 'serial'"
         " (plain loop), or 'auto' (default: REPRO_JOBS_BACKEND or"
         " auto; auto picks process on multi-core boxes and serial on"
         " single-core ones)",
@@ -107,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_cmd = sub.add_parser(
         "lint",
-        help="run the determinism linter (R001-R005; --deep adds R101-R113)",
+        help="run the determinism linter (R001-R005; --deep adds R101-R104,"
+        " R109-R113)",
     )
     lint_cmd.add_argument(
         "paths",
@@ -126,17 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cmd.add_argument(
         "--deep",
         action="store_true",
-        help="also run the whole-program rules R101-R113 (call-graph"
-        " effect inference, units-of-measure checking, the"
-        " concurrency-safety pass and the decision-flow contract"
-        " analyzer)",
+        help="also run the whole-program rules R101-R104 and R109-R113"
+        " (call-graph effect inference, units-of-measure checking and"
+        " the decision-flow contract analyzer)",
     )
     lint_cmd.add_argument(
         "--explain",
         default=None,
         metavar="RULE",
-        help="print a deep rule's rationale plus its inferred model:"
-        " thread entry points and locksets for R105-R108, the decision"
+        help="print a deep rule's rationale, plus the inferred decision"
         " kernel (decisions, handlers, policy roots) for R109-R113"
         " (implies --deep)",
     )
@@ -340,8 +338,6 @@ def _lint_main(args: argparse.Namespace) -> int:
                 print(finding.format_text())
                 if finding.chain:
                     print(f"  entry chain: {' -> '.join(finding.chain)}")
-                if finding.lockset:
-                    print(f"  lockset: {', '.join(finding.lockset)}")
     if args.baseline_update:
         write_baseline(pathlib.Path(args.baseline), findings)
         print(

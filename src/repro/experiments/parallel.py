@@ -7,30 +7,21 @@ experiment batch, deduplicates it (figures share their Linux/THP
 baselines), answers what it can from the two cache layers, and fans
 the misses out over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
-Three backends exist (``REPRO_JOBS_BACKEND`` or the ``backend``
+Two backends exist (``REPRO_JOBS_BACKEND`` or the ``backend``
 argument): ``process`` fans misses out over a
-``ProcessPoolExecutor``; ``thread`` shards them over an in-process
-``ThreadPoolExecutor`` — the engine's hot sections (stream-bank
-fetches, vectorized translation, binning) are numpy calls that release
-the GIL, and threaded workers share the process-wide stream banks, so
-a grid's policy pairs overlap even where a process pool cannot be
-built; ``serial`` runs the misses in a plain in-process loop.  The
-default (``auto``) picks ``process`` on multi-core boxes and
-``serial`` on single-core ones — benchmarking showed the thread
-backend is a net *slowdown* at ``cpu_count == 1`` (executor and lock
-churn with no cores to overlap on; BENCH_runner.json once recorded
-``speedup_parallel: 0.68``), so single-core parallelism now requires
-an explicit ``--jobs-backend thread``.  :func:`backend_choice` returns
-the resolved backend together with a human-readable reason, which the
-benchmarks record as ``backend_reason``.
+``ProcessPoolExecutor``; ``serial`` runs them in a plain in-process
+loop.  The default (``auto``) picks ``process`` on multi-core boxes
+and ``serial`` on single-core ones, where a pool can only time-slice
+one core.  :func:`backend_choice` returns the resolved backend
+together with a human-readable reason, which the benchmarks record as
+``backend_reason``.
 
 Worker count resolution, in priority order: explicit ``jobs``
 argument, the ``REPRO_JOBS`` environment variable, then
-``os.cpu_count() - 1`` (at least 1; at least 2 for the thread
-backend; always 1 for serial).  ``jobs=1`` — and any platform where a
-process pool cannot be built (no ``fork``, sandboxed semaphores) —
-degrades to an in-process serial loop with identical results, since
-every run is deterministic.
+``os.cpu_count() - 1`` (at least 1; always 1 for serial).
+``jobs=1`` — and any platform where a process pool cannot be built (no
+``fork``, sandboxed semaphores) — degrades to an in-process serial
+loop with identical results, since every run is deterministic.
 """
 
 from __future__ import annotations
@@ -48,10 +39,10 @@ from repro.sim.results import SimulationResult
 JOBS_ENV = "REPRO_JOBS"
 
 #: Environment variable selecting the executor backend
-#: (``thread`` | ``process`` | ``auto``).
+#: (``serial`` | ``process`` | ``auto``).
 BACKEND_ENV = "REPRO_JOBS_BACKEND"
 
-_BACKENDS = ("serial", "thread", "process", "auto")
+_BACKENDS = ("serial", "process", "auto")
 
 
 @dataclass(frozen=True)
@@ -74,11 +65,8 @@ def backend_choice(backend: Optional[str] = None) -> Tuple[str, str]:
 
     Resolution order: explicit arg > ``REPRO_JOBS_BACKEND`` > auto.
     ``auto`` resolves to ``process`` on multi-core machines and to
-    ``serial`` on single-core ones: with one core neither pool backend
-    can overlap anything, and the thread backend's executor/lock churn
-    makes it an outright slowdown there — anyone who wants single-core
-    sharding (e.g. to exercise the locking) must ask for ``thread``
-    explicitly.  The reason string is what the benchmarks record as
+    ``serial`` on single-core ones, where a pool cannot overlap
+    anything.  The reason string is what the benchmarks record as
     ``backend_reason``.
     """
     if backend is not None:
@@ -102,7 +90,7 @@ def backend_choice(backend: Optional[str] = None) -> Tuple[str, str]:
     return (
         "serial",
         f"{source}: auto, cpu_count=1 -> serial "
-        "(pool backends pessimize on one core)",
+        "(a pool pessimizes on one core)",
     )
 
 
@@ -117,14 +105,9 @@ def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> i
     The serial backend always resolves to 1 — that is its meaning, and
     it is what ``auto`` picks on single-core boxes (see
     :func:`backend_choice`).  The process backend is clamped to
-    ``os.cpu_count()``: its workers
-    are CPU-bound, so oversubscribing cores only adds scheduler churn
-    (and benchmark numbers taken that way report meaningless
-    "parallel" speedups).  The thread backend instead floors at 2 —
-    its workers overlap in the GIL-released numpy sections and share
-    stream banks, so two-way sharding is productive even on a
-    single-core box (where the process clamp would silently degrade to
-    a serial loop).
+    ``os.cpu_count()``: its workers are CPU-bound, so oversubscribing
+    cores only adds scheduler churn (and benchmark numbers taken that
+    way report meaningless "parallel" speedups).
     """
     resolved_backend = resolve_backend(backend)
     if resolved_backend == "serial":
@@ -137,10 +120,6 @@ def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> i
             except ValueError:
                 jobs = None
     cpus = os.cpu_count() or 1
-    if resolved_backend == "thread":
-        if jobs is None:
-            jobs = max(2, cpus - 1)
-        return max(1, min(int(jobs), max(2, cpus)))
     if jobs is None:
         jobs = cpus - 1
     return max(1, min(int(jobs), cpus))
@@ -273,32 +252,6 @@ class GridRunner:
             results[spec] = result
         return results
 
-    def _run_threads(
-        self, misses: List[RunSpec], jobs: int
-    ) -> Dict[RunSpec, SimulationResult]:
-        """In-process sharded execution over a thread pool.
-
-        Runs are deterministic and share no mutable state beyond the
-        process-wide memo layers (stream banks, the runner memo), all
-        of which are lock- or GIL-safe; the numpy-heavy engine phases
-        release the GIL, so shards genuinely overlap.  Sharing the
-        process also means two policy runs of the same workload reuse
-        one stream bank instead of generating streams twice.
-        """
-        import concurrent.futures
-
-        results: Dict[RunSpec, SimulationResult] = {}
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(jobs, len(misses))
-        ) as pool:
-            futures = [
-                pool.submit(_pool_execute, spec, self.settings) for spec in misses
-            ]
-            for future in concurrent.futures.as_completed(futures):
-                spec, result = future.result()
-                results[spec] = result
-        return results
-
     def _run_pool(
         self, misses: List[RunSpec], jobs: int
     ) -> Dict[RunSpec, SimulationResult]:
@@ -346,8 +299,6 @@ class GridRunner:
         if misses:
             if n_jobs <= 1 or len(misses) <= 1:
                 fresh = self._run_serial(misses)
-            elif backend_name == "thread":
-                fresh = self._run_threads(misses, n_jobs)
             else:
                 try:
                     fresh = self._run_pool(misses, n_jobs)

@@ -79,18 +79,8 @@ class RunSettings:
 
 _CACHE: Dict[Tuple, SimulationResult] = {}
 
-#: Serialises every ``_CACHE`` access: the thread backend's shards and
-#: any future ``repro serve`` worker share this memo, and an unguarded
-#: dict write from two shards is a data race (R105).  The memo stores
-#: finished, effectively-immutable results, so the critical sections
-#: are pure dict operations — never simulation work or disk I/O.
+#: Guards ``_CACHE``; ``perfbench/workloads.py`` enters it to read the memo.
 _MEMO_LOCK = threading.Lock()
-
-#: The memo deliberately hands back the *same* ``SimulationResult``
-#: object for repeated identical runs (tests assert ``a is b``);
-#: results are frozen once stored, so the reference escaping the memo
-#: lock is safe (R107).
-_CONCURRENCY_SAFE = ("runner.run_benchmark",)
 
 
 def clear_cache() -> None:

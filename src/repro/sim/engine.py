@@ -35,7 +35,6 @@ from typing import (
 
 import numpy as np
 
-from repro._util import rng_for
 from repro.units import Bytes, NodeId, Pages4K
 from repro.analysis.invariants import InvariantChecker, invariants_enabled
 from repro.errors import SimulationError
@@ -79,13 +78,30 @@ from repro.vm.layout import (
 )
 from repro.vm.thp import ThpState, khugepaged_scan
 from repro.workloads.base import Workload, WorkloadInstance
-from repro.workloads.streambank import get_stream_bank, stream_bank_enabled
+from repro.workloads.streambank import get_stream_bank
 
 #: Static-analysis registry (rule R104): roots of the simulation call
 #: graph.  Every random/clock sink reachable from here must be either
 #: the sanctioned ``rng_for`` site or an explicitly suppressed
 #: observability read (the profiler's ``# lint: ignore[R002]`` lines).
 _SIM_ENTRY_POINTS = ("Simulation.run",)
+
+
+class _NoProfile:
+    """The phase timer of an unprofiled tenant: every mark is a no-op,
+    so ``_run_epoch`` laps unconditionally."""
+
+    def epoch_start(self) -> None:
+        pass
+
+    def lap(self, phase: str) -> None:
+        pass
+
+    def epoch_end(self) -> None:
+        pass
+
+
+_NO_PROFILE = _NoProfile()
 
 
 @dataclass
@@ -193,16 +209,13 @@ class Tenant:
             InvariantChecker(self) if invariants_enabled(self.config) else None
         )
         # Streams are policy-independent, so runs sharing (workload,
-        # machine, seed, stream length) share one memoized bank; the
-        # inline path below stays as the REPRO_STREAM_BANK=0 fallback
-        # and is bit-identical by construction.
-        self._stream_bank = (
-            get_stream_bank(
-                self.instance, self.config.seed, self.config.stream_length
-            )
-            if stream_bank_enabled()
-            else None
+        # machine, seed, stream length) share one memoized bank.
+        self._stream_bank = get_stream_bank(
+            self.instance, self.config.seed, self.config.stream_length
         )
+        #: ``None`` unless profiling is on (``run_profiled`` and the
+        #: benchmark tracer test it); ``_run_epoch`` laps a no-op
+        #: timer instead.
         self.profiler = PhaseTimer() if profile_enabled(self.config) else None
         self.page_tables = PageTableState(
             home_node=int(self.thread_nodes[0]) if self.n_threads else 0
@@ -288,9 +301,8 @@ class Tenant:
         n_nodes = self.machine.n_nodes
         n_threads = self.n_threads
         freq = self.machine.cpu_freq_hz
-        prof = self.profiler
-        if prof is not None:
-            prof.epoch_start()
+        prof = self.profiler or _NO_PROFILE
+        prof.epoch_start()
 
         fault_time = np.zeros(n_threads)
         walk_time = np.zeros(n_threads)
@@ -316,8 +328,7 @@ class Tenant:
                 float(batch.faults_1g[t]),
                 concurrent,
             )
-        if prof is not None:
-            prof.lap("premap")
+        prof.lap("premap")
 
         # 2. Access streams: translation, traffic, TLB, IBS, tracking.
         stream_faults_4k = stream_faults_2m = 0.0
@@ -328,36 +339,13 @@ class Tenant:
         # Pass 1a — per-thread stream generation.  Streams are drawn
         # before any translation (generation never reads the address
         # space), preserving each thread's RNG draw order while letting
-        # the whole epoch translate in one call below.  With a stream
-        # bank the draws happen (at most once per shared bank) inside
-        # the bank; the IBS generators are restored from the captured
+        # the whole epoch translate in one call below.  The draws
+        # happen (at most once per shared bank) inside the bank; the
+        # IBS generators are restored from the captured
         # post-generation states so their later draws are unchanged.
-        if bank is not None:
-            streams, stream_writes, stream_sizes = bank.epoch_arrays(epoch)
-            rngs = bank.ibs_rngs(epoch) if self.ibs.rate > 0 else []
-            if prof is not None:
-                prof.lap("stream_bank")
-        else:
-            rngs = [
-                rng_for(
-                    cfg.seed, self.instance.seed, self.instance.name,
-                    "stream", t, epoch,
-                )
-                for t in range(n_threads)
-            ]
-            streams = np.zeros((n_threads, length), dtype=np.int64)
-            stream_writes = np.zeros((n_threads, length), dtype=bool)
-            stream_sizes = np.zeros(n_threads, dtype=np.int64)
-            for t in range(n_threads):
-                granules, writes = self.instance.epoch_stream_with_writes(
-                    t, epoch, rngs[t], length
-                )
-                n = granules.size
-                if n == 0:
-                    continue
-                stream_sizes[t] = n
-                streams[t, :n] = granules
-                stream_writes[t, :n] = writes
+        streams, stream_writes, stream_sizes = bank.epoch_arrays(epoch)
+        rngs = bank.ibs_rngs(epoch) if self.ibs.rate > 0 else []
+        prof.lap("stream_bank")
         # The bank's arrays are shared and read-only; the engine only
         # ever writes into its own per-epoch translation scratch.
         stream_homes = np.zeros((n_threads, length), dtype=np.int64)
@@ -393,8 +381,7 @@ class Tenant:
                 walk_l2,
                 written_replicated,
             )
-            if prof is not None:
-                prof.lap("streams")
+            prof.lap("streams")
         else:
             rep = self.asp.replication_mask(flat_granules)
             if np.any(rep):
@@ -413,11 +400,9 @@ class Tenant:
                 if np.any(rep_mask):
                     ids, _ = self.asp.backing_info(written[rep_mask])
                     written_replicated.update(int(i) for i in np.unique(ids))
-            if prof is not None:
-                prof.lap("streams")
+            prof.lap("streams")
             self._pass1_tlb(epoch, stream_sizes, walk_time, tlb_misses, walk_l2)
-            if prof is not None:
-                prof.lap("tlb")
+            prof.lap("tlb")
 
         # Pass 2 — vectorized across threads: one 2-D bincount over
         # (thread, home node) replaces the per-thread bincounts, and
@@ -437,28 +422,20 @@ class Tenant:
         np.add.at(traffic, self.thread_nodes, thread_home_counts)
 
         active_idx = np.flatnonzero(active)
-        if prof is not None:
-            prof.lap("streams")
+        prof.lap("streams")
         if self.tracker is not None:
             # Weight by the thread's actual stream size (matching the
             # traffic scaling above), not the nominal stream_length:
             # short streams represent the same DRAM access budget
-            # spread over fewer touches.
-            if bank is not None:
-                # Fused path: the bank pre-merged every thread's unique
-                # columns into one COO with the per-thread scale baked
-                # in (identical to this epoch's ``scale`` — the bank
-                # fingerprint pins ``dram_accesses``), so the whole
-                # epoch lands in two vectorized calls.
-                ids, _, _, scaled = bank.epoch_tracker(epoch)
-                self.tracker.add_epoch(ids, scaled)
-                self.tracker.merge_epoch_sharing(bank.sharing_packed(epoch))
-            else:
-                for t in active_idx:
-                    n = int(stream_sizes[t])
-                    self.tracker.update(int(t), streams[t, :n], float(scale[t]))
-        if prof is not None:
-            prof.lap("tracker")
+            # spread over fewer touches.  The bank pre-merged every
+            # thread's unique columns into one COO with the per-thread
+            # scale baked in (identical to this epoch's ``scale`` — the
+            # bank fingerprint pins ``dram_accesses``), so the whole
+            # epoch lands in two vectorized calls.
+            ids, _, _, scaled = bank.epoch_tracker(epoch)
+            self.tracker.add_epoch(ids, scaled)
+            self.tracker.merge_epoch_sharing(bank.sharing_packed(epoch))
+        prof.lap("tracker")
 
         n_samples = self.ibs.record_epoch_batch(
             active_idx,
@@ -471,8 +448,7 @@ class Tenant:
             rngs,
         )
         ibs_time = n_samples * self.ibs.cost_cycles_per_sample / freq
-        if prof is not None:
-            prof.lap("ibs")
+        prof.lap("ibs")
 
         # 3. Price the traffic: controller queueing + interconnect hops.
         # Under a multi-tenant host, the other tenants' previous-epoch
@@ -499,8 +475,7 @@ class Tenant:
         ).sum(axis=1) / freq / cost.mlp
 
         thread_time = cost.cpu_seconds + dram_time + walk_time + fault_time + ibs_time
-        if prof is not None:
-            prof.lap("pricing")
+        prof.lap("pricing")
 
         # 4. Maintenance: khugepaged plus policy actions from last epoch.
         maintenance_s = self._pending_maintenance_s
@@ -551,8 +526,7 @@ class Tenant:
                 ibs_samples=self.ibs.pending_samples,
             )
         )
-        if prof is not None:
-            prof.lap("maintenance")
+        prof.lap("maintenance")
 
         # 5. Policy daemon at its interval (actions cost time next epoch).
         if (
@@ -590,13 +564,11 @@ class Tenant:
             interval = self.policy.interval_s or 1.0
             while self._next_policy_time <= self.sim_time_s:
                 self._next_policy_time += interval
-        if prof is not None:
-            prof.lap("policy")
+        prof.lap("policy")
 
         if self.invariant_checker is not None:
             self.invariant_checker.after_epoch(epoch)
-        if prof is not None:
-            prof.epoch_end()
+        prof.epoch_end()
 
     # ------------------------------------------------------------------
     # Pass-1 variants

@@ -9,11 +9,10 @@ attributed as:
 
 * ``premap``      — allocation-phase faulting (step 1),
 * ``stream_bank`` — stream-bank fetches (generation on a bank miss,
-  array handoff on a hit; only nonzero when banking is enabled),
-* ``streams``     — inline stream generation (bank disabled),
-  translation, demand faulting and traffic binning (fault-epoch TLB
-  work is also billed here: the sequential fallback interleaves the
-  two),
+  array handoff on a hit; every run draws its streams from a bank),
+* ``streams``     — translation, demand faulting and traffic binning of
+  the fetched streams (fault-epoch TLB work is also billed here: the
+  sequential fallback interleaves the two),
 * ``tlb``         — backing classification + TLB model (no-fault epochs),
 * ``tracker``     — ground-truth access-tracker aggregation (the
   profiling metrics PAMUP/NHP/PSP, not simulation state),

@@ -60,7 +60,12 @@ class AccessTracker:
     def update(
         self, thread: ThreadId, granules: Pages4KArray, weight_per_access: float
     ) -> None:
-        """Record one thread-epoch access stream."""
+        """Record one thread-epoch access stream.
+
+        The engine feeds whole epochs through :meth:`add_epoch` and
+        :meth:`merge_epoch_sharing`; this per-thread form is their
+        sequential reference in the equivalence tests.
+        """
         g = np.asarray(granules, dtype=np.int64)
         if g.size == 0:
             return
@@ -69,23 +74,6 @@ class AccessTracker:
         self._mark(self._first_4k, self._shared_4k, unique, thread)
         self._mark(self._first_2m, self._shared_2m, np.unique(unique >> SHIFT_2M), thread)
         self._mark(self._first_1g, self._shared_1g, np.unique(unique >> SHIFT_1G), thread)
-
-    def add_weights(
-        self, unique: np.ndarray, counts: np.ndarray, weight_per_access: float
-    ) -> None:
-        """Accumulate access weight from pre-aggregated stream columns.
-
-        ``unique``/``counts`` are the ``np.unique(granules,
-        return_counts=True)`` of one thread-epoch stream.  The
-        stream-bank path uses this (plus :meth:`merge_epoch_sharing`)
-        so the per-stream aggregation is computed once per shared bank
-        rather than once per run; bit-identical to :meth:`update` on
-        the same stream because the per-thread accumulation order is
-        preserved.
-        """
-        if unique.size == 0:
-            return
-        self.weight[unique] += counts * weight_per_access
 
     def add_epoch(self, ids: np.ndarray, scaled_counts: np.ndarray) -> None:
         """Accumulate one whole epoch's access weight in a single call.
@@ -98,8 +86,7 @@ class AccessTracker:
         applies additions in element order — ascending thread order,
         with distinct ids inside each thread's segment — so the
         floating-point accumulation sequence per granule is exactly
-        that of the per-thread :meth:`update`/:meth:`add_weights`
-        loop, bit for bit.
+        that of the per-thread :meth:`update` loop, bit for bit.
         """
         if ids.size == 0:
             return

@@ -10,6 +10,7 @@ cases, and the sim-path scoping rules.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -165,6 +166,44 @@ def test_sarif_carries_chain_as_properties():
     )
     (result,) = to_sarif([finding])["runs"][0]["results"]
     assert result["properties"]["chain"] == ["Policy.decide", "helper"]
+
+
+# ----------------------------------------------------------------------
+# Whole-program findings: call chains and --explain
+# ----------------------------------------------------------------------
+BROKEN_KERNEL = pathlib.Path(__file__).parent / "fixtures" / "decisionflow_broken"
+
+
+def test_json_findings_carry_chain_only_when_inferred(capsys):
+    assert main(["lint", str(BROKEN_KERNEL), "--deep", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)["findings"]
+    base = {"rule", "path", "line", "col", "message"}
+    (r110,) = [f for f in payload if f["rule"] == "R110"]
+    assert set(r110) == base | {"chain"}
+    assert r110["chain"][0].endswith("decide")
+    # Rules without an inferred chain keep the base schema exactly.
+    assert all(set(f) == base for f in payload if f["rule"] != "R110")
+
+
+def test_explain_prints_rationale_model_and_chains(capsys):
+    assert main(["lint", str(BROKEN_KERNEL), "--explain", "R110"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("R110: ")
+    assert "decision-kernel model:" in out
+    assert "  entry chain: ImpurePolicy.decide -> ImpurePolicy._bump" in out
+
+
+def test_explain_on_clean_tree_exits_zero(sim_tree, capsys):
+    (sim_tree / "ok.py").write_text(CLEAN_SRC)
+    assert main(["lint", str(sim_tree), "--explain", "R104"]) == 0
+    assert "R104" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rule", ["R999", "R105"])
+def test_explain_unknown_rule_is_a_usage_error(rule, sim_tree, capsys):
+    (sim_tree / "ok.py").write_text(CLEAN_SRC)
+    assert main(["lint", str(sim_tree), "--explain", rule]) == 2
+    assert rule in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -296,27 +296,6 @@ def test_shipped_tree_deep_lints_clean_within_budget():
     assert elapsed < 10.0, f"deep analysis took {elapsed:.2f}s"
 
 
-def test_shipped_prefill_worker_is_a_thread_entry():
-    # The stream-bank background prefill worker runs concurrently with
-    # every bank consumer; R105-R108 are vacuous for it unless the
-    # module's _THREAD_ENTRY_POINTS registry resolves it to an analyzed
-    # entry whose call chain is walked.
-    from repro.analysis.callgraph import Project
-    from repro.analysis.concurrency import ConcurrencyModel
-
-    project = Project.from_paths([PACKAGE])
-    model = ConcurrencyModel(project)
-    worker = [
-        q for q in model.entries if q.endswith("StreamBank._prefill_worker")
-    ]
-    assert worker, f"prefill worker not a thread entry; entries: {model.entries}"
-    # The analysis actually reaches the fill path through the worker,
-    # so the lock-discipline rules see the row-claim protocol.
-    chains = model.chains
-    assert any(q.endswith("StreamBank._ensure_row") for q in chains)
-    assert any(q.endswith("StreamBank._fill_row") for q in chains)
-
-
 def test_shipped_profiler_and_invariants_are_verified_neutral():
     # The R101 registries actually cover the measurement modules: every
     # function in sim/profile.py and analysis/invariants.py is analyzed

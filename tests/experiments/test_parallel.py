@@ -89,22 +89,20 @@ class TestResolveJobs:
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         # Unknown cpu count counts as one core: auto resolves to the
-        # serial backend (pool backends pessimize there), so any jobs
-        # request collapses to 1; the process backend still clamps to
-        # one, and thread must be requested explicitly to shard.
+        # serial backend (a pool pessimizes there), so any jobs request
+        # collapses to 1; the process backend still clamps to one.
         assert resolve_jobs(4) == 1
         assert resolve_jobs(4, backend="process") == 1
-        assert resolve_jobs(4, backend="thread") == 2
 
 
 class TestResolveBackend:
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "process")
-        assert resolve_backend("thread") == "thread"
+        assert resolve_backend("serial") == "serial"
 
     def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert resolve_backend() == "thread"
+        monkeypatch.setenv(BACKEND_ENV, "serial")
+        assert resolve_backend() == "serial"
         monkeypatch.setenv(BACKEND_ENV, "PROCESS")
         assert resolve_backend() == "process"
 
@@ -112,12 +110,11 @@ class TestResolveBackend:
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert resolve_backend() == "process"
-        # One core: no pool backend can overlap anything, and the
-        # thread backend measured as a slowdown there — auto falls
-        # back to a plain serial loop unless thread is explicit.
+        # One core: a pool cannot overlap anything, so auto falls
+        # back to a plain serial loop unless process is explicit.
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert resolve_backend() == "serial"
-        assert resolve_backend("thread") == "thread"
+        assert resolve_backend("process") == "process"
 
     def test_backend_choice_reports_reason(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
@@ -125,8 +122,8 @@ class TestResolveBackend:
         backend, reason = backend_choice()
         assert backend == "serial"
         assert "cpu_count=1" in reason and "serial" in reason
-        backend, reason = backend_choice("thread")
-        assert backend == "thread"
+        backend, reason = backend_choice("process")
+        assert backend == "process"
         assert reason.startswith("explicit")
         monkeypatch.setenv(BACKEND_ENV, "process")
         backend, reason = backend_choice()
@@ -138,23 +135,34 @@ class TestResolveBackend:
         assert resolve_jobs(backend="serial") == 1
         assert resolve_jobs(16, backend="serial") == 1
 
-    def test_unknown_backend_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["fibers", "thread"])
+    def test_unknown_backend_rejected(self, name, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        with pytest.raises(ValueError):
-            resolve_backend("fibers")
+        with pytest.raises(ValueError, match="serial.*process.*auto"):
+            resolve_backend(name)
+        with pytest.raises(ValueError, match="serial.*process.*auto"):
+            resolve_jobs(2, backend=name)
 
-    def test_thread_backend_floors_at_two(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert resolve_jobs(None, backend="thread") == 2
-        assert resolve_jobs(8, backend="thread") == 2
-        assert resolve_jobs(1, backend="thread") == 1
+    def test_env_thread_backend_rejected(self, monkeypatch):
+        """The retired in-process thread backend is not a valid value."""
+        monkeypatch.setenv(BACKEND_ENV, "thread")
+        with pytest.raises(ValueError, match="'thread'.*serial.*process.*auto"):
+            backend_choice()
+        with pytest.raises(ValueError, match="serial.*process.*auto"):
+            GridRunner(RunSettings.quick()).add_spec(GRID[0]).run()
 
-    def test_thread_backend_clamps_to_cpus(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert resolve_jobs(16, backend="thread") == 4
-        assert resolve_jobs(None, backend="thread") == 3
+    def test_cli_thread_backend_rejected(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["figure1", "--quick", "--jobs-backend", "thread"]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        for name in ("serial", "process", "auto"):
+            assert f"'{name}'" in err
 
 
 class TestGridAssembly:
@@ -222,23 +230,6 @@ class TestGridExecution:
                 backing_1g=spec.backing_1g,
             )
             assert _signature(cached) == _signature(serial[spec]), spec
-
-    def test_thread_backend_matches_serial(self, fresh_env):
-        """In-process sharded execution is bit-identical to serial."""
-        settings = RunSettings.quick()
-        serial = {
-            spec: execute_run(
-                spec.workload, spec.machine, spec.policy, settings, spec.backing_1g
-            )
-            for spec in GRID
-        }
-        clear_cache()
-        grid = GridRunner(settings, backend="thread")
-        for spec in GRID:
-            grid.add_spec(spec)
-        threaded = grid.run(jobs=2)
-        for spec in GRID:
-            assert _signature(threaded[spec]) == _signature(serial[spec]), spec
 
     def test_results_installed_in_memo(self, fresh_env):
         settings = RunSettings.quick()

@@ -23,8 +23,11 @@ from repro.experiments.scenario_runner import (
     tenant_seed,
 )
 from repro.scenarios import ScenarioConfig
+from repro.sim import engine
 from repro.sim.config import SimConfig
 from repro.vm.layout import PageSize
+
+from tests.workloads.inline_oracle import InlineStreams
 
 #: The pinned colocation scenario (see module docstring).  Quick-scale
 #: footprints on machine A; tenant 1 arrives at host epoch 4, both run
@@ -170,13 +173,12 @@ class TestDeterminism:
         second = execute_scenario(self.SCENARIO, cfg)
         assert _signature(first) == _signature(second)
 
-    def test_identical_across_stream_bank_backends(self, monkeypatch):
+    def test_identical_on_the_inline_stream_oracle(self, monkeypatch):
         cfg = SimConfig.quick(seed=0)
-        monkeypatch.setenv("REPRO_STREAM_BANK", "0")
-        scalar = execute_scenario(self.SCENARIO, cfg)
-        monkeypatch.setenv("REPRO_STREAM_BANK", "1")
         banked = execute_scenario(self.SCENARIO, cfg)
-        assert _signature(scalar) == _signature(banked)
+        monkeypatch.setattr(engine, "get_stream_bank", InlineStreams)
+        inline = execute_scenario(self.SCENARIO, cfg)
+        assert _signature(inline) == _signature(banked)
 
     def test_different_scenario_seeds_differ(self):
         cfg = SimConfig.quick(seed=0)

@@ -1,23 +1,22 @@
 """Tests for the epoch-batched stream banks.
 
 The contract under test is *bit-identity*: a banked run must be
-indistinguishable from the inline per-thread generation it replaced —
-same granule streams, same write masks, same post-generation RNG
-states (the IBS sampler continues those generators), and the same
+indistinguishable from the inline per-thread generation it replaced
+(kept as the oracle in :mod:`tests.workloads.inline_oracle`) — same
+granule streams, same write masks, same post-generation RNG states
+(the IBS sampler continues those generators), and the same
 access-tracker state from the pre-aggregated columns.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from repro._util import rng_for
 from repro.experiments.runner import RunSettings, clear_cache, execute_run
+from repro.sim import engine
 from repro.sim.tracker import AccessTracker
 from repro.vm.layout import SHIFT_1G, SHIFT_2M
 from repro.workloads.base import CostProfile, WorkloadInstance
@@ -28,17 +27,16 @@ from repro.workloads.regions import (
     StreamRegion,
 )
 from repro.workloads.streambank import (
-    STREAM_BANK_ENV,
     STREAM_CACHE_ENV,
-    STREAM_PREFETCH_ENV,
     StreamBank,
     bank_fingerprint,
     clear_stream_banks,
     get_stream_bank,
-    stream_bank_enabled,
     stream_prefetch_enabled,
 )
 from repro.workloads.trace import TraceData, TraceRecorder, TraceWorkloadInstance
+
+from tests.workloads.inline_oracle import InlineStreams, sequential_rows
 
 MIB = 1 << 20
 LENGTH = 192
@@ -75,21 +73,11 @@ def make_instance(regions, machine, total_epochs=4, **kwargs):
     )
 
 
-def sequential_rows(instance, epoch, length=LENGTH, sim_seed=SIM_SEED):
-    """The inline path's (granules, writes, rng state) for every thread."""
-    rows = []
-    for t in range(instance.n_threads):
-        rng = rng_for(sim_seed, instance.seed, instance.name, "stream", t, epoch)
-        granules, writes = instance.epoch_stream_with_writes(t, epoch, rng, length)
-        rows.append((granules, writes, rng.bit_generator.state))
-    return rows
-
-
 def assert_bank_matches_sequential(bank, instance, epoch, length=LENGTH):
     streams, writes, sizes = bank.epoch_arrays(epoch)
     ibs = bank.ibs_rngs(epoch)
     for t, (ref_g, ref_w, ref_state) in enumerate(
-        sequential_rows(instance, epoch, length)
+        sequential_rows(instance, epoch, length, SIM_SEED)
     ):
         n = int(sizes[t])
         assert n == ref_g.size
@@ -102,11 +90,7 @@ def assert_bank_matches_sequential(bank, instance, epoch, length=LENGTH):
 
 
 @pytest.fixture(autouse=True)
-def _fresh_banks(monkeypatch):
-    # Prefetch off by default so fills (and block persistence) happen
-    # synchronously in the consuming thread; the pipelined-fill tests
-    # below opt back in explicitly.
-    monkeypatch.setenv(STREAM_PREFETCH_ENV, "0")
+def _fresh_banks():
     clear_stream_banks()
     yield
     clear_stream_banks()
@@ -161,8 +145,9 @@ class TestBatchedEquivalence:
         _, writes, sizes = bank.epoch_arrays(1)
         assert (sizes == 0).all()
         assert not writes.any()
-        for ids, first, multi in bank.sharing_columns(1):
-            assert ids.size == first.size == multi.size == 0
+        ids, first, multi, offsets = bank.sharing_packed(1)
+        assert ids.size == first.size == multi.size == 0
+        assert (offsets == 0).all()
         tracker = AccessTracker(64)
         tracker.merge_epoch_sharing(bank.sharing_packed(1))
         assert not tracker._shared_4k.any()
@@ -174,32 +159,40 @@ class TestTrackerColumns:
         inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
         streams, _, sizes = bank.epoch_arrays(0)
+        ids, offsets, counts, _ = bank.epoch_tracker(0)
         for t in range(inst.n_threads):
-            unique, counts, u2, u1 = bank.tracker_columns(0, t)
+            lo, hi = int(offsets[t]), int(offsets[t + 1])
             ref_u, ref_c = np.unique(streams[t, : int(sizes[t])],
                                      return_counts=True)
-            np.testing.assert_array_equal(unique, ref_u)
-            np.testing.assert_array_equal(counts, ref_c)
-            np.testing.assert_array_equal(u2, np.unique(ref_u >> SHIFT_2M))
-            np.testing.assert_array_equal(u1, np.unique(ref_u >> SHIFT_1G))
+            np.testing.assert_array_equal(ids[lo:hi], ref_u)
+            np.testing.assert_array_equal(counts[lo:hi], ref_c)
+        # The coarser sharing levels hold every chunk any thread hit.
+        p_ids, _, _, levels = bank.sharing_packed(0)
+        for level, shift in ((0, 0), (1, SHIFT_2M), (2, SHIFT_1G)):
+            np.testing.assert_array_equal(
+                p_ids[levels[level]:levels[level + 1]],
+                np.unique(ids >> shift),
+            )
 
     def test_merge_matches_sequential_update(self, tiny_topo):
         """Bank columns reproduce the tracker state of per-thread update().
 
         Sequential reference: ``update(t, ...)`` per thread in ascending
-        order, epoch by epoch — exactly the inline engine loop.
+        order, epoch by epoch — exactly the inline engine loop.  The
+        fused side weights each thread's segment of the epoch COO with
+        the same distinct per-thread weight.
         """
         inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
         seq = AccessTracker(inst.n_granules)
         banked = AccessTracker(inst.n_granules)
+        weights = 0.5 + 0.25 * np.arange(inst.n_threads)
         for epoch in range(inst.total_epochs):
             streams, _, sizes = bank.epoch_arrays(epoch)
             for t in range(inst.n_threads):
-                weight = 0.5 + 0.25 * t  # distinct per-thread weights
-                seq.update(t, streams[t, : int(sizes[t])], weight)
-                unique, counts, _, _ = bank.tracker_columns(epoch, t)
-                banked.add_weights(unique, counts, weight)
+                seq.update(t, streams[t, : int(sizes[t])], float(weights[t]))
+            ids, offsets, counts, _ = bank.epoch_tracker(epoch)
+            banked.add_epoch(ids, counts * np.repeat(weights, np.diff(offsets)))
             banked.merge_epoch_sharing(bank.sharing_packed(epoch))
         np.testing.assert_array_equal(banked.weight, seq.weight)
         for level in ("4k", "2m", "1g"):
@@ -292,54 +285,57 @@ class TestDiskStore:
             assert_bank_matches_sequential(bank2, inst2, epoch)
 
 
-class TestPersistDeferral:
-    """Completed blocks are written outside the bank lock (R108 fix)."""
+class TestPersist:
+    """A block persists exactly once, when its last row fills."""
 
-    def test_persist_runs_with_the_lock_released(self, tiny_topo, tmp_path,
+    def test_persists_once_on_the_completing_row(self, tiny_topo, tmp_path,
                                                  monkeypatch):
         monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
         inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
                              total_epochs=2)
         bank = get_stream_bank(inst, SIM_SEED, LENGTH)
         orig = bank._persist
-        lock_states = []
+        persisted = []
 
         def spy(block):
-            lock_states.append(bank._lock.locked())
+            persisted.append(block.epoch0)
             orig(block)
 
         monkeypatch.setattr(bank, "_persist", spy)
+        bank.epoch_arrays(0)
+        assert persisted == []
+        bank.epoch_arrays(1)
+        assert persisted == [0]
         for epoch in range(inst.total_epochs):
             bank.epoch_arrays(epoch)
-        # Persistence happened, and never inside the critical section.
-        assert lock_states and not any(lock_states)
+        assert persisted == [0]
         assert os.path.exists(
             os.path.join(str(tmp_path), bank.fingerprint, "b0.ok")
         )
 
-    def test_every_accessor_drains_the_queue(self, tiny_topo, tmp_path,
-                                             monkeypatch):
-        """epoch_arrays, ibs_rngs and tracker_columns all leave no block
-        stranded in the pending queue."""
+    def test_every_accessor_persists(self, tiny_topo, tmp_path, monkeypatch):
+        """Whichever accessor fills the last row, the block lands on
+        disk."""
         monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
         accessors = {
             "epoch_arrays": lambda bank, epoch: bank.epoch_arrays(epoch),
             "ibs_rngs": lambda bank, epoch: bank.ibs_rngs(epoch),
-            "tracker_columns": lambda bank, epoch: bank.tracker_columns(
-                epoch, 0
-            ),
+            "epoch_tracker": lambda bank, epoch: bank.epoch_tracker(epoch),
+            "sharing_packed": lambda bank, epoch: bank.sharing_packed(epoch),
         }
         for name, accessor in accessors.items():
             clear_stream_banks()
             inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
                                  total_epochs=2)
             bank = get_stream_bank(inst, SIM_SEED, LENGTH)
+            ok = os.path.join(str(tmp_path), bank.fingerprint, "b0.ok")
+            # The accessors share one store: drop the previous marker so
+            # this bank regenerates the block instead of loading it.
+            if os.path.exists(ok):
+                os.unlink(ok)
             for epoch in range(inst.total_epochs):
                 accessor(bank, epoch)
-                assert bank._pending_persist == [], name
-            assert os.path.exists(
-                os.path.join(str(tmp_path), bank.fingerprint, "b0.ok")
-            ), name
+            assert os.path.exists(ok), name
 
 
 def assert_fused_matches_update(bank, instance, epochs):
@@ -478,9 +474,8 @@ class TestFusedEpochAggregation:
             np.testing.assert_array_equal(a, b)
 
 
-class TestPipelinedFill:
-    """Lazy, claimed, background-overlapped fills must be invisible:
-    every row bit-identical to the serial upfront fill."""
+class TestLazyFill:
+    """Rows fill on demand, in any order, and stay bit-identical."""
 
     def _reference_rows(self, kind, tiny_topo, total_epochs):
         inst = make_instance(REGION_FACTORIES[kind](), tiny_topo,
@@ -502,47 +497,18 @@ class TestPipelinedFill:
         return rows
 
     @pytest.mark.parametrize("kind", sorted(REGION_FACTORIES))
-    @pytest.mark.parametrize("consumers", [1, 2])
-    def test_prefill_bit_identical(self, kind, consumers, tiny_topo,
-                                   monkeypatch):
-        """Background prefill (serial and two-shard consumption) vs
-        the upfront fill, for every builtin region kind."""
+    def test_out_of_order_fill_bit_identical(self, kind, tiny_topo):
+        """Filling epochs last-to-first, each first touched through a
+        different accessor, equals the in-order fill."""
         total = 6
         reference = self._reference_rows(kind, tiny_topo, total)
-
-        monkeypatch.setenv(STREAM_PREFETCH_ENV, "1")
         inst = make_instance(REGION_FACTORIES[kind](), tiny_topo,
                              total_epochs=total)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
-        errors = []
-
-        def consume(order):
-            try:
-                for epoch in order:
-                    bank.epoch_arrays(epoch)
-                    bank.epoch_tracker(epoch)
-                    bank.sharing_packed(epoch)
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        if consumers == 1:
-            consume(range(total))
-        else:
-            # Two shards walking the bank from opposite ends exercises
-            # the per-row claim protocol from both directions while
-            # the prefill worker races them.
-            workers = [
-                threading.Thread(target=consume, args=(range(total),)),
-                threading.Thread(
-                    target=consume, args=(list(reversed(range(total))),)
-                ),
-            ]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=30)
-            assert not any(w.is_alive() for w in workers), "shard deadlock"
-        assert not errors
+        accessors = (bank.sharing_packed, bank.epoch_tracker, bank.ibs_rngs,
+                     bank.epoch_arrays)
+        for epoch in reversed(range(total)):
+            accessors[epoch % len(accessors)](epoch)
         for epoch, (streams, writes, sizes, tracker, sharing,
                     states) in enumerate(reference):
             got_s, got_w, got_z = bank.epoch_arrays(epoch)
@@ -558,84 +524,56 @@ class TestPipelinedFill:
             ]
             assert got_states == states
 
-    def test_worker_fills_ahead_of_consumption(self, tiny_topo, monkeypatch):
-        """Touching epoch 0 alone eventually materializes the whole
-        lookahead window in the background."""
-        monkeypatch.setenv(STREAM_PREFETCH_ENV, "1")
+    def test_fill_stays_lazy(self, tiny_topo):
+        """Only the consumed row fills."""
         inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
                              total_epochs=6)
         bank = StreamBank(inst, SIM_SEED, LENGTH)
         bank.epoch_arrays(0)
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            with bank._lock:
-                block = bank._blocks.get(0)
-                done = block is not None and bool(block.filled.all())
-            if done:
-                break
-            time.sleep(0.005)
-        assert done, "prefill worker never completed the block"
-        for epoch in range(6):
-            assert_bank_matches_sequential(bank, inst, epoch)
+        block = bank._blocks[0]
+        assert bool(block.filled[0])
+        assert not block.filled[1:].any()
 
-    def test_prefetch_disabled_stays_lazy(self, tiny_topo):
-        """With REPRO_STREAM_PREFETCH=0 (fixture default) only the
-        consumed row fills."""
-        inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
-                             total_epochs=6)
-        bank = StreamBank(inst, SIM_SEED, LENGTH)
-        bank.epoch_arrays(0)
-        with bank._lock:
-            block = bank._blocks[0]
-            assert bool(block.filled[0])
-            assert not block.filled[1:].any()
+    def test_prefetch_is_always_off(self, monkeypatch):
+        """No background fill exists, whatever the environment says."""
+        monkeypatch.setenv("REPRO_STREAM_PREFETCH", "1")
+        assert stream_prefetch_enabled() is False
 
-    def test_prefetch_auto_follows_core_count(self, monkeypatch):
-        """Unset env means auto: a worker needs a spare core to help;
-        on one core it only contends with the consuming simulation."""
-        monkeypatch.delenv(STREAM_PREFETCH_ENV, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert stream_prefetch_enabled()
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert not stream_prefetch_enabled()
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert not stream_prefetch_enabled()
-        # Explicit values win in both directions.
-        monkeypatch.setenv(STREAM_PREFETCH_ENV, "1")
-        assert stream_prefetch_enabled()
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setenv(STREAM_PREFETCH_ENV, "0")
-        assert not stream_prefetch_enabled()
+
+def _run_signature(result):
+    """Everything a run reports that the streams can influence."""
+    return (
+        result.runtime_s,
+        tuple(result.epoch_times_s),
+        result.hot_stats,
+        tuple(
+            result.bank.total(counter)
+            for counter in (
+                "tlb_misses",
+                "page_faults_4k",
+                "page_faults_2m",
+                "time_dram_s",
+                "time_walk_s",
+                "time_ibs_s",
+                "ibs_samples",
+            )
+        ),
+        float(sum(e.traffic.sum() for e in result.bank.epochs)),
+    )
 
 
 class TestEngineEquivalence:
-    def test_bank_toggle_is_bit_identical(self, monkeypatch):
-        """A banked engine run equals the inline run, metric for metric."""
+    @pytest.mark.parametrize("policy", ["thp", "carrefour-lp"])
+    def test_inline_oracle_is_bit_identical(self, policy, monkeypatch):
+        """A banked engine run equals a run on the inline oracle, metric
+        for metric (``carrefour-lp`` samples IBS, so it also replays the
+        post-generation generators)."""
         settings = RunSettings.quick()
-
-        monkeypatch.setenv(STREAM_BANK_ENV, "0")
-        assert not stream_bank_enabled()
         clear_cache()
-        inline = execute_run("Kmeans", "A", "thp", settings, False)
+        banked = execute_run("Kmeans", "A", policy, settings, False)
 
-        monkeypatch.delenv(STREAM_BANK_ENV)
-        assert stream_bank_enabled()
-        clear_stream_banks()
+        monkeypatch.setattr(engine, "get_stream_bank", InlineStreams)
         clear_cache()
-        banked = execute_run("Kmeans", "A", "thp", settings, False)
+        inline = execute_run("Kmeans", "A", policy, settings, False)
 
-        assert banked.runtime_s == inline.runtime_s
-        assert banked.epoch_times_s == inline.epoch_times_s
-        assert banked.hot_stats == inline.hot_stats
-        for counter in (
-            "tlb_misses",
-            "page_faults_4k",
-            "page_faults_2m",
-            "time_dram_s",
-            "time_walk_s",
-            "time_ibs_s",
-        ):
-            assert banked.bank.total(counter) == inline.bank.total(counter)
-        assert float(
-            sum(e.traffic.sum() for e in banked.bank.epochs)
-        ) == float(sum(e.traffic.sum() for e in inline.bank.epochs))
+        assert _run_signature(banked) == _run_signature(inline)
