@@ -168,6 +168,19 @@ def test_sarif_carries_chain_as_properties():
     assert result["properties"]["chain"] == ["Policy.decide", "helper"]
 
 
+def test_findings_carry_no_lockset():
+    """Findings serialise a call chain at most; no rule infers locksets."""
+    from repro.analysis.linter import Finding
+    from repro.analysis.sarif import to_sarif
+
+    finding = Finding("R104", "sim/x.py", 3, 1, "clock", chain=("run", "f"))
+    assert set(finding.to_dict()) == {
+        "rule", "path", "line", "col", "message", "chain",
+    }
+    (result,) = to_sarif([finding])["runs"][0]["results"]
+    assert set(result["properties"]) == {"chain"}
+
+
 # ----------------------------------------------------------------------
 # Whole-program findings: call chains and --explain
 # ----------------------------------------------------------------------
@@ -199,7 +212,7 @@ def test_explain_on_clean_tree_exits_zero(sim_tree, capsys):
     assert "R104" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("rule", ["R999", "R105"])
+@pytest.mark.parametrize("rule", ["R999", "R105", "R106", "R107", "R108"])
 def test_explain_unknown_rule_is_a_usage_error(rule, sim_tree, capsys):
     (sim_tree / "ok.py").write_text(CLEAN_SRC)
     assert main(["lint", str(sim_tree), "--explain", rule]) == 2

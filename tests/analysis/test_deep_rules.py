@@ -315,3 +315,16 @@ def test_shipped_profiler_and_invariants_are_verified_neutral():
     assert any("PhaseTimer.lap" in q for q in covered)
     assert any("InvariantChecker.after_epoch" in q for q in covered)
     assert list(ResultNeutralPurity().check(project)) == []
+
+
+def test_deep_rule_set_has_no_concurrency_rules():
+    # The package starts no thread, so the deep pass carries no race
+    # analysis: every rule has a rationale, and R105-R108 are gone.
+    from repro.analysis.deep import ALL_DEEP_RULES, RULE_RATIONALE
+
+    ids = [rule.rule_id for rule in ALL_DEEP_RULES]
+    assert ids == [
+        "R101", "R102", "R103", "R104",
+        "R109", "R110", "R111", "R112", "R113",
+    ]
+    assert sorted(RULE_RATIONALE) == ids

@@ -135,6 +135,19 @@ class TestResolveBackend:
         assert resolve_jobs(backend="serial") == 1
         assert resolve_jobs(16, backend="serial") == 1
 
+    def test_process_backend_clamps_to_cpus(self, monkeypatch):
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert resolve_jobs(16, backend="process") == 4
+        assert resolve_jobs(None, backend="process") == 3
+
+    def test_process_backend_has_no_floor(self, monkeypatch):
+        """One core means one worker: no backend oversubscribes it."""
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert resolve_jobs(None, backend="process") == 1
+        assert resolve_jobs(8, backend="process") == 1
+
     @pytest.mark.parametrize("name", ["fibers", "thread"])
     def test_unknown_backend_rejected(self, name, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
@@ -230,6 +243,24 @@ class TestGridExecution:
                 backing_1g=spec.backing_1g,
             )
             assert _signature(cached) == _signature(serial[spec]), spec
+
+    def test_process_backend_matches_serial(self, fresh_env, monkeypatch):
+        """Forked pool workers are bit-identical to the serial loop."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        settings = RunSettings.quick()
+        serial = {
+            spec: execute_run(
+                spec.workload, spec.machine, spec.policy, settings, spec.backing_1g
+            )
+            for spec in GRID
+        }
+        clear_cache()
+        grid = GridRunner(settings, backend="process")
+        for spec in GRID:
+            grid.add_spec(spec)
+        pooled = grid.run(jobs=2)
+        for spec in GRID:
+            assert _signature(pooled[spec]) == _signature(serial[spec]), spec
 
     def test_results_installed_in_memo(self, fresh_env):
         settings = RunSettings.quick()

@@ -17,6 +17,7 @@ from repro.cli import main as cli_main
 from repro.experiments.cache import normalized_config
 from repro.experiments.runner import execute_run
 from repro.sim.config import SimConfig
+from repro.sim.engine import _NO_PROFILE, Simulation
 from repro.sim.profile import (
     PHASES,
     PROFILE_ENV,
@@ -155,6 +156,63 @@ class TestRunProfiled:
         plain = execute_run("Kmeans", "B", "linux-4k", quick_settings)
         profiled, _ = run_profiled("Kmeans", "B", "linux-4k", quick_settings)
         assert _signature(plain) == _signature(profiled)
+
+
+class TestNoProfile:
+    """Unprofiled tenants lap a shared no-op timer instead of guarding
+    every phase mark."""
+
+    @staticmethod
+    def _simulation(policy, settings):
+        from repro.experiments.configs import make_policy
+        from repro.hardware.machines import machine_by_name
+        from repro.workloads.registry import get_workload
+
+        topo = machine_by_name("A")
+        instance = get_workload("Kmeans").instantiate(
+            topo, settings.config.scale, settings.seed
+        )
+        return Simulation(
+            topo, instance, make_policy(policy, seed=settings.seed),
+            config=settings.config,
+        )
+
+    def test_marks_are_inert(self):
+        _NO_PROFILE.epoch_start()
+        for phase in PHASES + ("not-a-phase",):
+            assert _NO_PROFILE.lap(phase) is None
+        assert _NO_PROFILE.epoch_end() is None
+        assert vars(_NO_PROFILE) == {}
+
+    def test_unprofiled_run_keeps_profiler_none(self, quick_settings,
+                                                monkeypatch):
+        monkeypatch.delenv(PROFILE_ENV, raising=False)
+        laps = []
+        monkeypatch.setattr(PhaseTimer, "lap",
+                            lambda self, phase: laps.append(phase))
+        sim = self._simulation("carrefour-lp", quick_settings)
+        result = sim.run()
+        assert sim.profiler is None
+        assert laps == []
+        profiled, _ = run_profiled("Kmeans", "A", "carrefour-lp",
+                                   quick_settings)
+        assert _signature(result) == _signature(profiled)
+
+    def test_profiled_run_laps_every_phase(self, quick_settings, monkeypatch):
+        monkeypatch.delenv(PROFILE_ENV, raising=False)
+        laps = []
+        lap = PhaseTimer.lap
+
+        def spy(self, phase):
+            laps.append(phase)
+            lap(self, phase)
+
+        monkeypatch.setattr(PhaseTimer, "lap", spy)
+        result, timer = run_profiled("Kmeans", "A", "carrefour-lp",
+                                     quick_settings)
+        assert set(laps) == set(PHASES) - {"other"}
+        assert laps.count("policy") == timer.n_epochs
+        assert timer.n_epochs == len(result.epoch_times_s)
 
 
 class TestProfileCli:

@@ -9,17 +9,28 @@ no concurrency analysis.
 
 from __future__ import annotations
 
+import ast
 import os
+import pathlib
 import threading
 
 import pytest
 
+import repro
 from repro.experiments.parallel import GridRunner
 from repro.experiments.runner import RunSettings, clear_cache
 from repro.experiments.scenario_runner import execute_scenario
+from repro.hardware.machines import machine_by_name
 from repro.scenarios import ScenarioConfig
 from repro.sim.config import SimConfig
-from repro.workloads.streambank import clear_stream_banks
+from repro.workloads.registry import get_workload
+from repro.workloads.streambank import (
+    STREAM_CACHE_ENV,
+    clear_stream_banks,
+    get_stream_bank,
+)
+
+SRC = pathlib.Path(repro.__file__).parent
 
 
 @pytest.fixture
@@ -67,3 +78,52 @@ def test_two_tenant_scenario_starts_no_thread(thread_watch):
     assert len(result.tenants) == 2
     assert started == []
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("value", ["1", "auto"])
+def test_retired_prefetch_knob_starts_no_thread(value, thread_watch,
+                                                monkeypatch):
+    """``REPRO_STREAM_PREFETCH`` used to start a prefill worker; it is
+    now ignored."""
+    started, before = thread_watch
+    monkeypatch.setenv("REPRO_STREAM_PREFETCH", value)
+    grid = GridRunner(RunSettings.quick(), backend="serial")
+    grid.add("Kmeans", "A", "thp")
+    grid.run(use_cache=False)
+    assert started == []
+    assert set(threading.enumerate()) == before
+
+
+def test_stream_bank_fill_and_persist_start_no_thread(thread_watch,
+                                                      tmp_path, monkeypatch):
+    """Filling every row, and persisting the completed blocks to the
+    disk store, happens in the calling thread."""
+    started, before = thread_watch
+    monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
+    instance = get_workload("Kmeans").instantiate(
+        machine_by_name("A"), SimConfig.quick().scale, 0
+    )
+    bank = get_stream_bank(instance, 0, 64)
+    for epoch in range(instance.total_epochs):
+        bank.epoch_arrays(epoch)
+        bank.sharing_packed(epoch)
+    assert list(tmp_path.glob("*/b*.ok"))
+    assert started == []
+    assert set(threading.enumerate()) == before
+
+
+def test_only_the_runner_imports_threading():
+    """``runner._MEMO_LOCK`` is the one threading object left in the
+    package (the benchmark harness enters it to read the memo)."""
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if any(name.split(".")[0] == "threading" for name in names):
+                importers.append(path.relative_to(SRC).as_posix())
+    assert importers == ["experiments/runner.py"]

@@ -313,6 +313,23 @@ class TestPersist:
             os.path.join(str(tmp_path), bank.fingerprint, "b0.ok")
         )
 
+    def test_no_store_never_persists(self, tiny_topo, monkeypatch):
+        """Without ``REPRO_STREAM_CACHE`` completed blocks stay in memory."""
+        monkeypatch.delenv(STREAM_CACHE_ENV, raising=False)
+        inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
+                             total_epochs=2)
+        bank = get_stream_bank(inst, SIM_SEED, LENGTH)
+
+        def boom(block):
+            raise AssertionError("persisted without a store")
+
+        monkeypatch.setattr(bank, "_persist", boom)
+        for epoch in range(inst.total_epochs):
+            bank.epoch_arrays(epoch)
+        blocks = list(bank._blocks.values())
+        assert all(bool(block.filled.all()) for block in blocks)
+        assert not any(block.persisted for block in blocks)
+
     def test_every_accessor_persists(self, tiny_topo, tmp_path, monkeypatch):
         """Whichever accessor fills the last row, the block lands on
         disk."""
@@ -563,7 +580,9 @@ def _run_signature(result):
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("policy", ["thp", "carrefour-lp"])
+    @pytest.mark.parametrize(
+        "policy", ["thp", "carrefour-lp", "linux-4k", "carrefour-2m", "autonuma"]
+    )
     def test_inline_oracle_is_bit_identical(self, policy, monkeypatch):
         """A banked engine run equals a run on the inline oracle, metric
         for metric (``carrefour-lp`` samples IBS, so it also replays the
@@ -577,3 +596,26 @@ class TestEngineEquivalence:
         inline = execute_run("Kmeans", "A", policy, settings, False)
 
         assert _run_signature(banked) == _run_signature(inline)
+
+    def test_retired_bank_knob_is_ignored(self, monkeypatch):
+        """``REPRO_STREAM_BANK=0`` once selected the inline path; every
+        run now draws its streams from a bank regardless."""
+        settings = RunSettings.quick()
+        clear_cache()
+        default = execute_run("Kmeans", "A", "carrefour-lp", settings, False)
+
+        monkeypatch.setenv("REPRO_STREAM_BANK", "0")
+        fetched = []
+        orig = engine.get_stream_bank
+
+        def spy(*args):
+            bank = orig(*args)
+            fetched.append(bank)
+            return bank
+
+        monkeypatch.setattr(engine, "get_stream_bank", spy)
+        clear_cache()
+        knob = execute_run("Kmeans", "A", "carrefour-lp", settings, False)
+
+        assert [type(bank) for bank in fetched] == [StreamBank]
+        assert _run_signature(knob) == _run_signature(default)
