@@ -3,21 +3,12 @@
 Runs the same figure-shaped grid as ``test_bench_runner`` (CG.D / UA.B
 / SSCA.20 x machines A/B x linux-4k/thp), but serially and with the
 per-phase profiler on, so the numbers answer questions the runner
-bench cannot: how long does *one* uncached simulation take, where
-inside ``Simulation._run_epoch`` does that time go, and how much of it
-the stream-bank disk store gives back.
+bench cannot: how long does *one* uncached simulation take, and where
+inside ``Simulation._run_epoch`` does that time go.
 
-Two passes over the grid, both with ``REPRO_STREAM_CACHE`` pointing at
-a block store:
-
-* **cold** — fresh store directory, empty banks: every (workload,
-  machine) pair generates and persists its streams and fused
-  aggregation columns from scratch.  This is the first-ever sweep on a
-  machine.
-* **warm** — banks dropped again, store kept: fills come back as
-  memmapped block loads.  This is every later process — a re-run, a
-  resumed sweep, the second CI job on a primed cache — and is where
-  the ``stream_bank_warm`` number comes from.
+One cold pass over the grid: stream banks start empty, so every
+(workload, machine) pair generates its streams and fused aggregation
+columns from scratch, and the policy pair of each cell shares them.
 
 The PR 2 baseline for this grid (serial, cold, scale 0.25) was
 11.973 s; ``speedup_vs_pr2_baseline`` tracks the hot-path trajectory
@@ -32,7 +23,7 @@ import pathlib
 import time
 
 from repro.sim.profile import PHASES, run_profiled
-from repro.workloads.streambank import STREAM_CACHE_ENV, clear_stream_banks
+from repro.workloads.streambank import clear_stream_banks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
@@ -43,15 +34,10 @@ BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
 PR2_BASELINE_WALL_S = 11.973
 
 #: Perf-smoke budget: profiling-side aggregation (``tracker``) plus
-#: stream-bank fetch (``stream_bank``) as a share of the *store-warm*
-#: pass.  Warm is the gated pass because its attribution is stable: a
-#: cold pass spends most of its stream_bank lap inside golden-pinned
-#: per-thread generator draws, which no aggregation work can shrink.
-WARM_TRACKER_BANK_PCT_BUDGET = 45.0
-
-#: Cold-pass backstop for the same sum: catches a regression in the
-#: fused fill path itself without pretending the pinned generation
-#: cost away.
+#: stream-bank fill (``stream_bank``) as a share of the cold pass.
+#: Catches a regression in the fused fill path itself; most of the
+#: stream_bank lap is golden-pinned per-thread generator draws, which
+#: no aggregation work can shrink, hence the loose bound.
 COLD_TRACKER_BANK_PCT_BUDGET = 85.0
 
 BENCH_GRID = [
@@ -102,30 +88,11 @@ def _tracker_bank_pct(phase_totals) -> float:
     return round(100.0 * combined / total, 1)
 
 
-def test_bench_engine(settings, tmp_path, monkeypatch):
-    # Cold pass against a guaranteed-fresh store directory: honest
-    # first-sweep numbers (generate + persist), even when the
-    # environment already carries a primed REPRO_STREAM_CACHE.
-    store_dir = tmp_path / "stream-store"
-    monkeypatch.setenv(STREAM_CACHE_ENV, str(store_dir))
+def test_bench_engine(settings):
     clear_stream_banks()
     cold_wall, cold_phases, cold_runs = _sweep(settings)
-
-    # Warm pass: drop the in-memory banks but keep the store, so every
-    # fill is a memmapped block load plus the fused-column handoff.
-    # Best of two sweeps — the pass is short enough that one scheduler
-    # hiccup or cold page cache would dominate a single sample.
-    warm_wall, warm_phases = None, None
-    for _ in range(2):
-        clear_stream_banks()
-        wall, phases, _ = _sweep(settings)
-        if warm_wall is None or wall < warm_wall:
-            warm_wall, warm_phases = wall, phases
     clear_stream_banks()
 
-    store_bytes = sum(
-        f.stat().st_size for f in store_dir.rglob("*") if f.is_file()
-    )
     cold_total = sum(cold_phases.values())
     payload = {
         "grid": [f"{wl}@{m}/{p}" for wl, m, p in BENCH_GRID],
@@ -142,15 +109,6 @@ def test_bench_engine(settings, tmp_path, monkeypatch):
             for phase, seconds in cold_phases.items()
         },
         "tracker_bank_pct_cold": _tracker_bank_pct(cold_phases),
-        # Stream-bank reuse through the disk store: same grid, block
-        # store primed by the cold pass.
-        "warm_serial_wall_s": round(warm_wall, 3),
-        "stream_bank_warm_s": round(warm_phases["stream_bank"], 3),
-        "tracker_bank_pct_warm": _tracker_bank_pct(warm_phases),
-        "warm_phases_s": {
-            phase: round(seconds, 3) for phase, seconds in warm_phases.items()
-        },
-        "stream_store_bytes": store_bytes,
         "runs": cold_runs,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
@@ -159,19 +117,9 @@ def test_bench_engine(settings, tmp_path, monkeypatch):
 
     # Perf-smoke gates (CI sets REPRO_BENCH_ASSERT=1).
     if os.environ.get("REPRO_BENCH_ASSERT", "").strip() == "1":
-        warm_pct = payload["tracker_bank_pct_warm"]
-        assert warm_pct <= WARM_TRACKER_BANK_PCT_BUDGET, (
-            f"tracker + stream_bank is {warm_pct}% of the store-warm pass"
-            f" (budget: {WARM_TRACKER_BANK_PCT_BUDGET}%); the fused"
-            " aggregation handoff or the block-store load path regressed"
-        )
         cold_pct = payload["tracker_bank_pct_cold"]
         assert cold_pct <= COLD_TRACKER_BANK_PCT_BUDGET, (
             f"tracker + stream_bank is {cold_pct}% of the cold pass"
             f" (budget: {COLD_TRACKER_BANK_PCT_BUDGET}%); the fused fill"
             " pipeline regressed"
-        )
-        assert warm_wall < cold_wall, (
-            "the store-warm pass should beat the cold pass"
-            f" (warm {warm_wall:.3f}s vs cold {cold_wall:.3f}s)"
         )

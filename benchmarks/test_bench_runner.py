@@ -30,7 +30,7 @@ from repro.experiments.parallel import (
     resolve_jobs,
 )
 from repro.experiments.runner import clear_cache, execute_run
-from repro.workloads.streambank import STREAM_CACHE_ENV, clear_stream_banks
+from repro.workloads.streambank import clear_stream_banks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_runner.json"
@@ -50,10 +50,8 @@ def _timed_run(
 ) -> float:
     os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
     clear_cache()
-    # Each timed pass starts with cold stream banks AND its own block
-    # store; a shared REPRO_STREAM_CACHE would let the serial pass warm
-    # the parallel pass's fills from disk and inflate the speedup.
-    os.environ[STREAM_CACHE_ENV] = str(cache_dir / "stream-store")
+    # Each timed pass starts with cold stream banks, so the serial pass
+    # cannot warm the parallel pass's fills and inflate the speedup.
     clear_stream_banks()
     grid = GridRunner(settings, backend=backend)
     for spec in BENCH_GRID:
@@ -115,7 +113,6 @@ def _timed_invariant_overhead(settings, repeats: int = 3) -> dict:
 
 def test_bench_runner(settings, repro_jobs, tmp_path):
     old_cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    old_stream_cache = os.environ.get(STREAM_CACHE_ENV)
     # The backend comes from the same auto-selection the runner uses,
     # and the reason is recorded in the payload: a one-core box with no
     # explicit REPRO_JOBS_BACKEND resolves to the serial loop (this
@@ -147,10 +144,6 @@ def test_bench_runner(settings, repro_jobs, tmp_path):
             os.environ.pop("REPRO_CACHE_DIR", None)
         else:
             os.environ["REPRO_CACHE_DIR"] = old_cache_dir
-        if old_stream_cache is None:
-            os.environ.pop(STREAM_CACHE_ENV, None)
-        else:
-            os.environ[STREAM_CACHE_ENV] = old_stream_cache
         clear_cache()
         clear_stream_banks()
 

@@ -19,7 +19,8 @@ from repro.experiments.configs import make_policy
 from repro.hardware.machines import machine_b
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
-from repro.sim.policy import PlacementPolicy, PolicyActionSummary
+from repro.sim.decisions import MigratePage
+from repro.sim.policy import PlacementPolicy
 from repro.core.metrics import PageSampleTable
 from repro.workloads.base import WorkloadInstance
 from repro.workloads.common import reference_cost
@@ -32,7 +33,9 @@ class InterleaveAllPolicy(PlacementPolicy):
     """Migrate every sampled page round-robin across nodes.
 
     A deliberately blunt instrument: it balances controllers perfectly
-    but ignores locality (private pages get scattered too).
+    but ignores locality (private pages get scattered too).  Like every
+    policy it only decides; the engine's executor applies each
+    ``MigratePage`` and accounts the bytes moved.
     """
 
     name = "interleave-all"
@@ -45,8 +48,7 @@ class InterleaveAllPolicy(PlacementPolicy):
         sim.thp.enable_alloc()
         sim.thp.enable_promotion()
 
-    def on_interval(self, sim, samples, window) -> PolicyActionSummary:
-        summary = PolicyActionSummary()
+    def decide(self, sim, samples, window):
         table = PageSampleTable.from_samples(
             samples, sim.asp, sim.machine.n_nodes, granularity="backing"
         )
@@ -56,13 +58,7 @@ class InterleaveAllPolicy(PlacementPolicy):
                 continue
             target = self._cursor % sim.machine.n_nodes
             self._cursor += 1
-            moved = sim.asp.migrate_backing(page_id, target)
-            summary.bytes_migrated += moved
-            if moved == 4096:
-                summary.migrated_4k += 1
-            elif moved:
-                summary.migrated_2m += 1
-        return summary
+            yield MigratePage(page_id, target)
 
 
 def build_workload(machine):

@@ -38,14 +38,11 @@ against the executor:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple, TYPE_CHECKING
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
 from repro.units import NodeArray, NodeId, Pages4KArray
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.policy import PolicyActionSummary
 
 #: Conflict-target key: ("page", backing_id), ("thp", toggle-name) or
 #: ("pt", "replication").
@@ -354,50 +351,3 @@ class ReplicatePageTables(Decision):
 
     def payload(self) -> dict:
         return {"kind": "ReplicatePageTables"}
-
-
-@dataclass(frozen=True, eq=False)
-class MergeSummary(Decision):
-    """Legacy bridge: fold a pre-built action summary into the interval.
-
-    Yielded by the base :meth:`PlacementPolicy.decide` for policies that
-    still implement ``on_interval`` directly (external subclasses); the
-    in-tree policies all emit fine-grained decisions instead.
-    """
-
-    domain: ClassVar[str] = "none"
-    counters: ClassVar[Tuple[str, ...]] = (
-        "migrated_4k",
-        "migrated_2m",
-        "bytes_migrated",
-        "splits_2m",
-        "splits_1g",
-        "collapses_2m",
-        "replicated_pages",
-        "bytes_replicated",
-        "pages_reclaimed",
-        "bytes_reclaimed",
-        "compute_s",
-        "notes",
-        "notes_dropped",
-    )
-
-    summary: "PolicyActionSummary"
-
-    def payload(self) -> dict:
-        s = self.summary
-        return {
-            "kind": "MergeSummary",
-            "migrated_4k": s.migrated_4k,
-            "migrated_2m": s.migrated_2m,
-            "bytes_migrated": s.bytes_migrated,
-            "splits_2m": s.splits_2m,
-            "splits_1g": s.splits_1g,
-            "collapses_2m": s.collapses_2m,
-            "replicated_pages": s.replicated_pages,
-            "bytes_replicated": s.bytes_replicated,
-            "pages_reclaimed": s.pages_reclaimed,
-            "bytes_reclaimed": s.bytes_reclaimed,
-            "compute_s": s.compute_s,
-            "n_notes": len(s.notes),
-        }

@@ -49,7 +49,6 @@ from repro.sim.decisions import (
     Collapse2M,
     Decision,
     InterleaveRegion,
-    MergeSummary,
     MigratePage,
     Note,
     Outcome,
@@ -452,22 +451,16 @@ class Tenant:
 
         # 3. Price the traffic: controller queueing + interconnect hops.
         # Under a multi-tenant host, the other tenants' previous-epoch
-        # traffic congests the same controllers and links; the N=1 path
-        # (bg is None) performs exactly the original arithmetic so
-        # single-workload runs stay bit-identical.
+        # traffic congests the same controllers and links.
         rates = traffic / cfg.epoch_s
         bg = self._background_rates
-        if bg is not None:
-            shared = rates + bg
-            controller_latency = self.models.controller.latency_cycles(
-                shared.sum(axis=0)
-            )
-            hop_latency = self.models.interconnect.hop_latency_matrix(
-                self.machine, shared
-            )
-        else:
-            controller_latency = self.models.controller.latency_cycles(rates.sum(axis=0))
-            hop_latency = self.models.interconnect.hop_latency_matrix(self.machine, rates)
+        shared = rates if bg is None else rates + bg
+        controller_latency = self.models.controller.latency_cycles(
+            shared.sum(axis=0)
+        )
+        hop_latency = self.models.interconnect.hop_latency_matrix(
+            self.machine, shared
+        )
         self.last_rates = rates
         latency = controller_latency[None, :] + hop_latency  # (src, dst) cycles
         dram_time = (
@@ -1074,12 +1067,6 @@ class ActionExecutor:
             reason="" if freed else "nothing reclaimed",
         )
 
-    def _apply_merge_summary(
-        self, decision: MergeSummary, summary: PolicyActionSummary
-    ) -> Outcome:
-        summary.merge(decision.summary)
-        return Outcome(applied=True)
-
     #: Exact-type dispatch table (the decision hierarchy is flat, so
     #: exact-type lookup and the old isinstance chain are equivalent).
     #: R109 checks this table is exhaustive over the Decision subclasses
@@ -1100,7 +1087,6 @@ class ActionExecutor:
         ReplicatePage: _apply_replicate_page,
         ReplicatePageTables: _apply_replicate_page_tables,
         ReclaimPages: _apply_reclaim_pages,
-        MergeSummary: _apply_merge_summary,
     }
 
     #: Conflict domains the first-member-wins claim logic arbitrates.

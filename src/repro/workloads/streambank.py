@@ -45,31 +45,27 @@ Every simulation routes its streams through a bank; the per-stream
 inline generation they replace survives only as the equivalence
 oracle of the test suite.
 
-``REPRO_STREAM_CACHE=<dir>`` persists completed epoch blocks to disk
-(``.npy`` columns loaded back memmapped, fused aggregation columns
-alongside), so banks survive across processes of a grid sweep.
+Banks live in memory only, bounded by LRU limits on banks per process
+and blocks per bank.  A block evicted from memory is regenerated on its
+next access, which is deterministic.  Reuse across processes is the
+result cache's job (:mod:`repro.experiments.cache`): a repeated run is
+answered there without touching streams.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import weakref
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro._util import SeedHasher, rng_from_state, stable_seed
 from repro.vm.layout import SHIFT_1G, SHIFT_2M
 
-#: Directory for the optional on-disk block store (unset = memory only).
-STREAM_CACHE_ENV = "REPRO_STREAM_CACHE"
-
 #: Epochs per storage block.  Blocks are filled lazily epoch by epoch,
 #: so a short run never generates past what it consumes; the window
-#: only bounds allocation and disk-store granularity.
+#: only bounds allocation granularity.
 EPOCH_WINDOW = 16
 
 _MAX_BANKS = 12
@@ -79,12 +75,6 @@ _BANKS: "OrderedDict[str, StreamBank]" = OrderedDict()
 #: Banks for instances without a stable fingerprint (e.g. trace
 #: replays): keyed by identity, garbage-collected with the instance.
 _INSTANCE_BANKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def stream_cache_dir() -> Optional[str]:
-    """The on-disk block-store directory, or ``None`` when disabled."""
-    path = os.environ.get(STREAM_CACHE_ENV, "").strip()
-    return path or None
 
 
 def stream_prefetch_enabled() -> bool:
@@ -182,13 +172,7 @@ def get_stream_bank(instance: object, sim_seed: int, length: int) -> "StreamBank
         # future fills would no longer match the key.  Rebuild.
         bank = None
     if bank is None:
-        bank = StreamBank(
-            instance,
-            sim_seed,
-            length,
-            fingerprint=fingerprint,
-            cache_dir=stream_cache_dir(),
-        )
+        bank = StreamBank(instance, sim_seed, length)
         _BANKS[fingerprint] = bank
         while len(_BANKS) > _MAX_BANKS:
             _BANKS.popitem(last=False)
@@ -201,7 +185,7 @@ class _Block:
     """Storage for one ``EPOCH_WINDOW``-sized range of epochs."""
 
     __slots__ = ("epoch0", "n_epochs", "streams", "writes", "sizes",
-                 "rng_states", "tracker", "sharing", "filled", "persisted")
+                 "rng_states", "tracker", "sharing", "filled")
 
     def __init__(self, epoch0: int, n_epochs: int, n_threads: int,
                  length: int) -> None:
@@ -218,50 +202,17 @@ class _Block:
         #: level_offsets)`` over the three page levels.
         self.sharing: List[Optional[tuple]] = [None] * n_epochs
         self.filled = np.zeros(n_epochs, dtype=bool)
-        self.persisted = False
-
-    @classmethod
-    def from_store(
-        cls,
-        epoch0: int,
-        streams: np.ndarray,
-        writes: np.ndarray,
-        sizes: np.ndarray,
-        rng_states: List[List[dict]],
-        tracker: List[tuple],
-        sharing: List[tuple],
-    ) -> "_Block":
-        block = cls.__new__(cls)
-        block.epoch0 = epoch0
-        block.n_epochs = streams.shape[0]
-        block.streams = streams
-        block.writes = writes
-        block.sizes = sizes
-        block.rng_states = list(rng_states)
-        block.tracker = list(tracker)
-        block.sharing = list(sharing)
-        block.filled = np.ones(block.n_epochs, dtype=bool)
-        block.persisted = True
-        return block
 
 
 class StreamBank:
     """Memoized per-epoch access streams for one workload instance."""
 
-    def __init__(
-        self,
-        instance: object,
-        sim_seed: int,
-        length: int,
-        fingerprint: Optional[str] = None,
-        cache_dir: Optional[str] = None,
-    ) -> None:
+    def __init__(self, instance: object, sim_seed: int, length: int) -> None:
         self.instance = instance
         self.sim_seed = sim_seed
         self.length = length
         self.n_threads = int(instance.n_threads)
         self.total_epochs = int(instance.total_epochs)
-        self.fingerprint = fingerprint
         cost = getattr(instance, "cost", None)
         #: Baked into ``scaled_counts`` exactly as the engine computes
         #: its per-thread scale (``dram_accesses / stream_size``).
@@ -270,11 +221,6 @@ class StreamBank:
         #: ``(thread, epoch)`` suffix, so the fixed parts hash once.
         self._seed_hasher = SeedHasher(
             sim_seed, instance.seed, instance.name, "stream"
-        )
-        self._dir = (
-            os.path.join(cache_dir, fingerprint)
-            if cache_dir is not None and fingerprint is not None
-            else None
         )
         self._blocks: "OrderedDict[int, _Block]" = OrderedDict()
 
@@ -352,14 +298,12 @@ class StreamBank:
         return block, i
 
     def _block_at(self, epoch: int) -> _Block:
-        """Locate/create/load the block holding ``epoch``."""
+        """Locate or create the block holding ``epoch``."""
         epoch0 = (epoch // EPOCH_WINDOW) * EPOCH_WINDOW
         block = self._blocks.get(epoch0)
         if block is None:
-            block = self._load(epoch0)
-            if block is None:
-                n_epochs = max(1, min(EPOCH_WINDOW, self.total_epochs - epoch0))
-                block = _Block(epoch0, n_epochs, self.n_threads, self.length)
+            n_epochs = max(1, min(EPOCH_WINDOW, self.total_epochs - epoch0))
+            block = _Block(epoch0, n_epochs, self.n_threads, self.length)
             self._blocks[epoch0] = block
             while len(self._blocks) > _MAX_BLOCKS_PER_BANK:
                 self._blocks.popitem(last=False)
@@ -373,8 +317,7 @@ class StreamBank:
         The flag is set only after every column (streams, RNG states,
         fused tracker and sharing) is complete, so a failed fill leaves
         the row unfilled and the next access regenerates it (generation
-        is deterministic).  The row that completes a block persists it
-        to the disk store, when one is configured.
+        is deterministic).
         """
         states = self._generate_row(block, i)
         tracker = self._aggregate_tracker(block, i)
@@ -382,12 +325,6 @@ class StreamBank:
         block.tracker[i] = tracker
         block.rng_states[i] = states
         block.filled[i] = True
-        if (
-            self._dir is not None
-            and not block.persisted
-            and bool(block.filled.all())
-        ):
-            self._persist(block)
 
     def _generate_row(self, block: _Block, i: int) -> List[dict]:
         """Draw every thread's stream for one epoch row; returns the
@@ -545,177 +482,3 @@ class StreamBank:
             np.concatenate(level_multi),
             level_offsets,
         )
-
-    # ------------------------------------------------------------------
-    # Optional on-disk store (REPRO_STREAM_CACHE)
-    # ------------------------------------------------------------------
-    def _paths(self, epoch0: int) -> Dict[str, str]:
-        base = os.path.join(self._dir, f"b{epoch0}")
-        return {
-            "streams": base + ".streams.npy",
-            "writes": base + ".writes.npy",
-            "sizes": base + ".sizes.npy",
-            "rng": base + ".rng.json",
-            "agg": base + ".agg.npz",
-            "ok": base + ".ok",
-        }
-
-    def _agg_payload(self, block: _Block) -> Dict[str, np.ndarray]:
-        """Flatten a completed block's fused aggregation columns for
-        the disk store (``scaled_counts`` is derived, recomputed on
-        load)."""
-        n_threads = self.n_threads
-        t_row = np.zeros(block.n_epochs + 1, dtype=np.int64)
-        t_off = np.zeros((block.n_epochs, n_threads + 1), dtype=np.int64)
-        s_row = np.zeros(block.n_epochs + 1, dtype=np.int64)
-        s_lvl = np.zeros((block.n_epochs, 4), dtype=np.int64)
-        t_ids: List[np.ndarray] = []
-        t_counts: List[np.ndarray] = []
-        s_ids: List[np.ndarray] = []
-        s_first: List[np.ndarray] = []
-        s_multi: List[np.ndarray] = []
-        for i in range(block.n_epochs):
-            ids, offsets, counts, _ = block.tracker[i]
-            t_ids.append(ids)
-            t_counts.append(counts)
-            t_off[i] = offsets
-            t_row[i + 1] = t_row[i] + ids.size
-            p_ids, p_first, p_multi, lvl = block.sharing[i]
-            s_ids.append(p_ids)
-            s_first.append(p_first)
-            s_multi.append(p_multi)
-            s_row[i + 1] = s_row[i] + p_ids.size
-            s_lvl[i] = lvl
-        return {
-            "t_ids": np.concatenate(t_ids),
-            "t_counts": np.concatenate(t_counts),
-            "t_row": t_row,
-            "t_off": t_off,
-            "s_ids": np.concatenate(s_ids),
-            "s_first": np.concatenate(s_first),
-            "s_multi": np.concatenate(s_multi),
-            "s_row": s_row,
-            "s_lvl": s_lvl,
-        }
-
-    def _persist(self, block: _Block) -> None:
-        """Best-effort write of a completed block (atomic per file; the
-        ``.ok`` marker lands last so readers never see partial blocks)."""
-        paths = self._paths(block.epoch0)
-        agg = self._agg_payload(block)
-        try:
-            os.makedirs(self._dir, exist_ok=True)
-            for key, array in (
-                ("streams", block.streams),
-                ("writes", block.writes),
-                ("sizes", block.sizes),
-            ):
-                _atomic_write(
-                    paths[key], self._dir,
-                    lambda fh, a=array: np.save(fh, a),
-                )
-            _atomic_write(
-                paths["agg"], self._dir,
-                lambda fh: np.savez(fh, **agg),
-            )
-            _atomic_write(
-                paths["rng"], self._dir,
-                lambda fh: fh.write(
-                    json.dumps(block.rng_states).encode("ascii")
-                ),
-            )
-            _atomic_write(paths["ok"], self._dir, lambda fh: fh.write(b"ok"))
-            block.persisted = True
-        except OSError:
-            pass
-
-    def _load(self, epoch0: int) -> Optional[_Block]:
-        """Load a persisted block memmapped, or ``None``."""
-        if self._dir is None:
-            return None
-        paths = self._paths(epoch0)
-        if not os.path.exists(paths["ok"]):
-            return None
-        try:
-            streams = np.load(paths["streams"], mmap_mode="r")
-            writes = np.load(paths["writes"], mmap_mode="r")
-            sizes = np.load(paths["sizes"])
-            with open(paths["rng"], "r", encoding="ascii") as fh:
-                rng_states = json.load(fh)
-            with np.load(paths["agg"]) as stored:
-                agg = {key: stored[key] for key in stored.files}
-        except (OSError, ValueError, KeyError):
-            return None
-        n_epochs = max(1, min(EPOCH_WINDOW, self.total_epochs - epoch0))
-        if (
-            streams.shape != (n_epochs, self.n_threads, self.length)
-            or writes.shape != streams.shape
-            or sizes.shape != (n_epochs, self.n_threads)
-            or len(rng_states) != n_epochs
-        ):
-            return None
-        rows = self._rows_from_agg(agg, sizes, n_epochs)
-        if rows is None:
-            return None
-        tracker, sharing = rows
-        return _Block.from_store(
-            epoch0, streams, writes, sizes, rng_states, tracker, sharing
-        )
-
-    def _rows_from_agg(
-        self, agg: Dict[str, np.ndarray], sizes: np.ndarray, n_epochs: int
-    ) -> Optional[Tuple[List[tuple], List[tuple]]]:
-        """Rebuild per-row fused columns from a stored block, or
-        ``None`` when the payload is inconsistent (stale store)."""
-        try:
-            t_ids, t_counts = agg["t_ids"], agg["t_counts"]
-            t_row, t_off = agg["t_row"], agg["t_off"]
-            s_ids, s_first = agg["s_ids"], agg["s_first"]
-            s_multi, s_row, s_lvl = agg["s_multi"], agg["s_row"], agg["s_lvl"]
-        except KeyError:
-            return None
-        if (
-            t_row.shape != (n_epochs + 1,)
-            or t_off.shape != (n_epochs, self.n_threads + 1)
-            or s_row.shape != (n_epochs + 1,)
-            or s_lvl.shape != (n_epochs, 4)
-            or int(t_row[-1]) != t_ids.size
-            or t_counts.shape != t_ids.shape
-            or int(s_row[-1]) != s_ids.size
-            or s_first.shape != s_ids.shape
-            or s_multi.shape != s_ids.shape
-        ):
-            return None
-        tracker: List[tuple] = []
-        sharing: List[tuple] = []
-        for i in range(n_epochs):
-            ids = t_ids[int(t_row[i]):int(t_row[i + 1])]
-            counts = t_counts[int(t_row[i]):int(t_row[i + 1])]
-            offsets = t_off[i]
-            if int(offsets[-1]) != ids.size:
-                return None
-            scaled = self._scaled_counts(sizes[i], offsets, counts)
-            tracker.append((ids, offsets, counts, scaled))
-            lo, hi = int(s_row[i]), int(s_row[i + 1])
-            lvl = s_lvl[i]
-            if int(lvl[-1]) != hi - lo:
-                return None
-            sharing.append(
-                (s_ids[lo:hi], s_first[lo:hi], s_multi[lo:hi], lvl)
-            )
-        return tracker, sharing
-
-
-def _atomic_write(path: str, directory: str, write) -> None:
-    """Write via a temp file + rename so readers never see partials."""
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise

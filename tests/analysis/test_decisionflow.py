@@ -533,8 +533,8 @@ def shipped_model():
 
 def test_shipped_kernel_model_is_complete():
     model = shipped_model()
-    # All 14 concrete decision classes, one executor, full coverage.
-    assert len(model.decisions) == 14
+    # All 13 concrete decision classes, one executor, full coverage.
+    assert len(model.decisions) == 13
     assert len(model.executors) == 1
     executor = model.executors[0]
     assert set(executor.handlers) == set(model.decisions)

@@ -10,7 +10,6 @@ from repro.hardware.counters import CounterBank
 from repro.hardware.ibs import IbsSamples
 from repro.sim.decisions import (
     ChargeCompute,
-    MergeSummary,
     MigratePage,
     Note,
     Outcome,
@@ -325,30 +324,21 @@ class TestNotesCap:
         assert summary.notes_dropped == 3
 
 
-class TestLegacyBridge:
-    def test_on_interval_subclass_still_works(self):
-        class Legacy(PlacementPolicy):
-            name = "legacy"
-
-            def on_interval(self, sim, samples, window):
-                summary = PolicyActionSummary()
-                summary.compute_s = 0.125
-                summary.add_note("legacy ran")
-                return summary
-
+class TestBasePolicy:
+    def test_base_decide_yields_nothing(self):
         host = make_host()
-        summary, _ = apply_decisions(
-            host, Legacy().decide(host, IbsSamples.empty(), None)
+        decisions = list(
+            PlacementPolicy().decide(host, IbsSamples.empty(), None)
         )
-        assert summary.compute_s == 0.125
-        assert summary.notes == ["legacy ran"]
+        assert decisions == []
 
-    def test_merge_summary_decision(self):
+    def test_base_decide_applies_nothing(self):
         host = make_host()
-        inner = PolicyActionSummary()
-        inner.migrated_2m = 7
-        summary, _ = apply_decisions(host, gen_of(MergeSummary(inner)))
-        assert summary.migrated_2m == 7
+        summary, value = apply_decisions(
+            host, PlacementPolicy().decide(host, IbsSamples.empty(), None)
+        )
+        assert value is None
+        assert summary == PolicyActionSummary()
 
 
 class TestPolicyStack:

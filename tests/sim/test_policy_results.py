@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.hardware.counters import CounterBank
 from repro.sim.config import SimConfig
+from repro.sim.decisions import ChargeCompute
 from repro.sim.engine import Simulation
 from repro.sim.policy import LinuxPolicy, PlacementPolicy, PolicyActionSummary
 from repro.sim.results import RunMetrics, SimulationResult
@@ -33,10 +34,12 @@ class CountingPolicy(PlacementPolicy):
         self.calls = 0
         self.sample_counts = []
 
-    def on_interval(self, sim, samples, window):
+    compute_s = 0.001
+
+    def decide(self, sim, samples, window):
         self.calls += 1
         self.sample_counts.append(len(samples))
-        return PolicyActionSummary(compute_s=0.001)
+        yield ChargeCompute(self.compute_s)
 
 
 class TestPolicyDaemon:
@@ -62,9 +65,7 @@ class TestPolicyDaemon:
 
     def test_action_cost_charged_next_epoch(self, tiny_topo):
         class ExpensivePolicy(CountingPolicy):
-            def on_interval(self, sim, samples, window):
-                super().on_interval(sim, samples, window)
-                return PolicyActionSummary(compute_s=10.0)
+            compute_s = 10.0
 
         cheap = make_sim(tiny_topo, CountingPolicy(), epochs=4).run()
         costly = make_sim(tiny_topo, ExpensivePolicy(), epochs=4).run()

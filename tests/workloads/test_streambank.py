@@ -10,8 +10,6 @@ access-tracker state from the pre-aggregated columns.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -26,8 +24,8 @@ from repro.workloads.regions import (
     SharedRegion,
     StreamRegion,
 )
+from repro.workloads import streambank
 from repro.workloads.streambank import (
-    STREAM_CACHE_ENV,
     StreamBank,
     bank_fingerprint,
     clear_stream_banks,
@@ -244,117 +242,6 @@ class TestBankMemoization:
         assert_bank_matches_sequential(fresh, fresh_inst, 0)
 
 
-class TestDiskStore:
-    def test_round_trip_memmapped(self, tiny_topo, tmp_path, monkeypatch):
-        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
-        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
-                             total_epochs=3)
-        bank = get_stream_bank(inst, SIM_SEED, LENGTH)
-        # Consuming every epoch completes the block and persists it.
-        for epoch in range(inst.total_epochs):
-            bank.epoch_arrays(epoch)
-        store_dir = os.path.join(str(tmp_path), bank.fingerprint)
-        assert os.path.exists(os.path.join(store_dir, "b0.ok"))
-
-        clear_stream_banks()
-        inst2 = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
-                              total_epochs=3)
-        bank2 = get_stream_bank(inst2, SIM_SEED, LENGTH)
-        streams2, _, _ = bank2.epoch_arrays(0)
-        assert isinstance(streams2, np.memmap)  # loaded, not regenerated
-        for epoch in range(inst2.total_epochs):
-            assert_bank_matches_sequential(bank2, inst2, epoch)
-
-    def test_incomplete_store_regenerates(self, tiny_topo, tmp_path,
-                                          monkeypatch):
-        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
-        inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
-                             total_epochs=2)
-        bank = get_stream_bank(inst, SIM_SEED, LENGTH)
-        for epoch in range(inst.total_epochs):
-            bank.epoch_arrays(epoch)
-        os.unlink(os.path.join(str(tmp_path), bank.fingerprint, "b0.ok"))
-
-        clear_stream_banks()
-        inst2 = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
-                              total_epochs=2)
-        bank2 = get_stream_bank(inst2, SIM_SEED, LENGTH)
-        streams2, _, _ = bank2.epoch_arrays(0)
-        assert not isinstance(streams2, np.memmap)
-        for epoch in range(inst2.total_epochs):
-            assert_bank_matches_sequential(bank2, inst2, epoch)
-
-
-class TestPersist:
-    """A block persists exactly once, when its last row fills."""
-
-    def test_persists_once_on_the_completing_row(self, tiny_topo, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
-        inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
-                             total_epochs=2)
-        bank = get_stream_bank(inst, SIM_SEED, LENGTH)
-        orig = bank._persist
-        persisted = []
-
-        def spy(block):
-            persisted.append(block.epoch0)
-            orig(block)
-
-        monkeypatch.setattr(bank, "_persist", spy)
-        bank.epoch_arrays(0)
-        assert persisted == []
-        bank.epoch_arrays(1)
-        assert persisted == [0]
-        for epoch in range(inst.total_epochs):
-            bank.epoch_arrays(epoch)
-        assert persisted == [0]
-        assert os.path.exists(
-            os.path.join(str(tmp_path), bank.fingerprint, "b0.ok")
-        )
-
-    def test_no_store_never_persists(self, tiny_topo, monkeypatch):
-        """Without ``REPRO_STREAM_CACHE`` completed blocks stay in memory."""
-        monkeypatch.delenv(STREAM_CACHE_ENV, raising=False)
-        inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
-                             total_epochs=2)
-        bank = get_stream_bank(inst, SIM_SEED, LENGTH)
-
-        def boom(block):
-            raise AssertionError("persisted without a store")
-
-        monkeypatch.setattr(bank, "_persist", boom)
-        for epoch in range(inst.total_epochs):
-            bank.epoch_arrays(epoch)
-        blocks = list(bank._blocks.values())
-        assert all(bool(block.filled.all()) for block in blocks)
-        assert not any(block.persisted for block in blocks)
-
-    def test_every_accessor_persists(self, tiny_topo, tmp_path, monkeypatch):
-        """Whichever accessor fills the last row, the block lands on
-        disk."""
-        monkeypatch.setenv(STREAM_CACHE_ENV, str(tmp_path))
-        accessors = {
-            "epoch_arrays": lambda bank, epoch: bank.epoch_arrays(epoch),
-            "ibs_rngs": lambda bank, epoch: bank.ibs_rngs(epoch),
-            "epoch_tracker": lambda bank, epoch: bank.epoch_tracker(epoch),
-            "sharing_packed": lambda bank, epoch: bank.sharing_packed(epoch),
-        }
-        for name, accessor in accessors.items():
-            clear_stream_banks()
-            inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
-                                 total_epochs=2)
-            bank = get_stream_bank(inst, SIM_SEED, LENGTH)
-            ok = os.path.join(str(tmp_path), bank.fingerprint, "b0.ok")
-            # The accessors share one store: drop the previous marker so
-            # this bank regenerates the block instead of loading it.
-            if os.path.exists(ok):
-                os.unlink(ok)
-            for epoch in range(inst.total_epochs):
-                accessor(bank, epoch)
-            assert os.path.exists(ok), name
-
-
 def assert_fused_matches_update(bank, instance, epochs):
     """Property: add_epoch over the fused COO == the sequential
     per-thread update() loop, bit for bit, including sharing state.
@@ -555,6 +442,63 @@ class TestLazyFill:
         """No background fill exists, whatever the environment says."""
         monkeypatch.setenv("REPRO_STREAM_PREFETCH", "1")
         assert stream_prefetch_enabled() is False
+
+
+class TestMemoryBounds:
+    """Banks are memory-only and LRU-bounded; what is evicted comes
+    back bit-identical."""
+
+    def test_evicted_block_regenerates_bit_identical(self, tiny_topo):
+        blocks = streambank._MAX_BLOCKS_PER_BANK + 1
+        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                             total_epochs=blocks * streambank.EPOCH_WINDOW)
+        bank = StreamBank(inst, SIM_SEED, LENGTH)
+        streams, writes, sizes = (a.copy() for a in bank.epoch_arrays(0))
+        tracker = [a.copy() for a in bank.epoch_tracker(0)]
+        sharing = [a.copy() for a in bank.sharing_packed(0)]
+        states = [r.bit_generator.state for r in bank.ibs_rngs(0)]
+        for block in range(1, blocks):
+            bank.epoch_arrays(block * streambank.EPOCH_WINDOW)
+        assert 0 not in bank._blocks
+        assert len(bank._blocks) == streambank._MAX_BLOCKS_PER_BANK
+
+        got_s, got_w, got_z = bank.epoch_arrays(0)
+        np.testing.assert_array_equal(got_s, streams)
+        np.testing.assert_array_equal(got_w, writes)
+        np.testing.assert_array_equal(got_z, sizes)
+        for a, b in zip(bank.epoch_tracker(0), tracker):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(bank.sharing_packed(0), sharing):
+            np.testing.assert_array_equal(a, b)
+        assert [r.bit_generator.state for r in bank.ibs_rngs(0)] == states
+        assert_bank_matches_sequential(bank, inst, 0)
+
+    def test_bank_count_is_bounded(self, tiny_topo):
+        banks = []
+        for seed in range(streambank._MAX_BANKS + 3):
+            inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
+                                 seed=seed)
+            banks.append(get_stream_bank(inst, SIM_SEED, LENGTH))
+            assert len(streambank._BANKS) <= streambank._MAX_BANKS
+        assert len(streambank._BANKS) == streambank._MAX_BANKS
+        held = list(streambank._BANKS.values())
+        assert held == banks[-streambank._MAX_BANKS:]
+
+    def test_retired_store_knob_writes_nothing(self, tiny_topo, tmp_path,
+                                               monkeypatch):
+        """``REPRO_STREAM_CACHE`` once persisted filled blocks to disk;
+        filling a whole bank now leaves the directory empty."""
+        monkeypatch.setenv("REPRO_STREAM_CACHE", str(tmp_path))
+        inst = make_instance(REGION_FACTORIES["mixed"](), tiny_topo,
+                             total_epochs=3)
+        bank = get_stream_bank(inst, SIM_SEED, LENGTH)
+        for epoch in range(inst.total_epochs):
+            bank.epoch_arrays(epoch)
+            bank.ibs_rngs(epoch)
+            bank.epoch_tracker(epoch)
+            bank.sharing_packed(epoch)
+        assert bool(bank._blocks[0].filled.all())
+        assert list(tmp_path.iterdir()) == []
 
 
 def _run_signature(result):
