@@ -172,3 +172,48 @@ class TestSteadyMetrics:
         result = make_sim(tiny_topo, LinuxPolicy(False)).run()
         assert 0 <= result.steady_lar() <= 100
         assert result.steady_imbalance() >= 0
+
+
+class TestCustomPolicyExample:
+    """``examples/custom_policy.py`` decides through ``decide()`` alone."""
+
+    def _example(self):
+        import importlib.util
+        import pathlib
+
+        path = (pathlib.Path(__file__).resolve().parents[2]
+                / "examples" / "custom_policy.py")
+        spec = importlib.util.spec_from_file_location("custom_policy", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_migrations_are_applied_by_the_executor(self, monkeypatch):
+        from repro.hardware.machines import machine_b
+        from repro.sim.decisions import MigratePage
+
+        example = self._example()
+        yielded = []
+        decide = example.InterleaveAllPolicy.decide
+
+        def spy(policy, sim, samples, window):
+            for decision in decide(policy, sim, samples, window):
+                assert isinstance(decision, MigratePage)
+                yielded.append(decision)
+                yield decision
+
+        monkeypatch.setattr(example.InterleaveAllPolicy, "decide", spy)
+        machine = machine_b()
+        result = Simulation(
+            machine,
+            example.build_workload(machine),
+            example.InterleaveAllPolicy(),
+            SimConfig(stream_length=768, seed=0, ibs_rate=2e-4),
+        ).run()
+        metrics = result.metrics()
+        migrated = metrics.pages_migrated_4k + metrics.pages_migrated_2m
+        assert yielded
+        assert 0 < migrated <= len(yielded)
+        assert migrated == sum(
+            s.migrated_4k + s.migrated_2m for _, s in result.action_log
+        )

@@ -438,6 +438,25 @@ class TestLazyFill:
         assert bool(block.filled[0])
         assert not block.filled[1:].any()
 
+    @pytest.mark.parametrize(
+        "accessor",
+        ["epoch_arrays", "ibs_rngs", "epoch_tracker", "sharing_packed"],
+    )
+    def test_each_accessor_completes_the_block(self, accessor, tiny_topo):
+        """Whichever accessor reads every epoch, the block ends full and
+        each row equals the sequential reference."""
+        inst = make_instance(REGION_FACTORIES["shared"](), tiny_topo,
+                             total_epochs=2)
+        bank = StreamBank(inst, SIM_SEED, LENGTH)
+        read = getattr(bank, accessor)
+        read(0)
+        assert not bool(bank._blocks[0].filled.all())
+        for epoch in range(inst.total_epochs):
+            read(epoch)
+        assert bool(bank._blocks[0].filled.all())
+        for epoch in range(inst.total_epochs):
+            assert_bank_matches_sequential(bank, inst, epoch)
+
     def test_prefetch_is_always_off(self, monkeypatch):
         """No background fill exists, whatever the environment says."""
         monkeypatch.setenv("REPRO_STREAM_PREFETCH", "1")
