@@ -19,7 +19,7 @@ from repro.experiments.configs import make_policy
 from repro.hardware.machines import machine_b
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
-from repro.sim.decisions import MigratePage
+from repro.sim.decisions import MigratePages
 from repro.sim.policy import PlacementPolicy
 from repro.core.metrics import PageSampleTable
 from repro.workloads.base import WorkloadInstance
@@ -34,8 +34,8 @@ class InterleaveAllPolicy(PlacementPolicy):
 
     A deliberately blunt instrument: it balances controllers perfectly
     but ignores locality (private pages get scattered too).  Like every
-    policy it only decides; the engine's executor applies each
-    ``MigratePage`` and accounts the bytes moved.
+    policy it only decides; the engine's executor applies the
+    interval's ``MigratePages`` batch and accounts the bytes moved.
     """
 
     name = "interleave-all"
@@ -52,13 +52,11 @@ class InterleaveAllPolicy(PlacementPolicy):
         table = PageSampleTable.from_samples(
             samples, sim.asp, sim.machine.n_nodes, granularity="backing"
         )
-        for page_id in table.ids:
-            page_id = int(page_id)
-            if not sim.asp.backing_is_live(page_id):
-                continue
-            target = self._cursor % sim.machine.n_nodes
-            self._cursor += 1
-            yield MigratePage(page_id, target)
+        pages = table.ids[sim.asp.live_backing_mask(table.ids)]
+        targets = (self._cursor + np.arange(pages.size)) % sim.machine.n_nodes
+        self._cursor += pages.size
+        if pages.size:
+            yield MigratePages(pages, targets)
 
 
 def build_workload(machine):

@@ -309,6 +309,16 @@ class DecisionFlowModel:
             if not isinstance(sub, ast.Return) or sub.value is None:
                 continue
             value = sub.value
+            if (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id == "tuple"
+                and len(value.args) == 1
+                and isinstance(value.args[0], ast.GeneratorExp)
+            ):
+                # One key per element of a batch decision:
+                # ``tuple(("page", x) for x in ...)``.
+                value = ast.Tuple(elts=[value.args[0].elt], ctx=ast.Load())
             if isinstance(value, ast.Tuple):
                 for elt in value.elts:
                     if (

@@ -34,7 +34,13 @@ from repro.errors import ConfigurationError
 from repro.hardware.counters import CounterBank
 from repro.hardware.ibs import IbsSamples
 from repro.core.metrics import PageSampleTable
-from repro.sim.decisions import ChargeCompute, Decision, MigratePage, Note, Outcome
+from repro.sim.decisions import (
+    ChargeCompute,
+    Decision,
+    Note,
+    Outcome,
+    migrate_positions,
+)
 from repro.sim.policy import PlacementPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,24 +110,34 @@ class AutoNumaPolicy(PlacementPolicy):
         table = PageSampleTable.from_samples(
             samples, sim.asp, sim.machine.n_nodes, granularity="backing"
         )
-        dominant = table.dominant_nodes()
-        budget = self.config.max_migration_bytes_per_interval
         order = np.argsort(-table.totals)
-        for idx in order:
-            if budget <= 0:
-                yield Note("migration budget exhausted")
-                break
-            page_id = int(table.ids[idx])
-            if not sim.asp.backing_is_live(page_id):
-                self._streaks.pop(page_id, None)
-                continue
-            node = int(dominant[idx])
-            last, streak = self._streaks.get(page_id, (-1, 0))
-            streak = streak + 1 if node == last else 1
-            self._streaks[page_id] = (node, streak)
-            if streak < self.config.migrate_streak:
-                continue
-            outcome = yield MigratePage(page_id, node)
-            if not outcome.applied:
-                continue
-            budget -= outcome.bytes_moved
+        ids = table.ids[order]
+        nodes = table.dominant_nodes()[order]
+        live = sim.asp.live_backing_mask(ids)
+        # The two-stage filter: a page's streak grows while consecutive
+        # intervals fault it from the same node.
+        prev = np.array(
+            [self._streaks.get(page_id, (-1, 0)) for page_id in ids[live].tolist()],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        streaks = np.zeros(ids.size, dtype=np.int64)
+        streaks[live] = np.where(nodes[live] == prev[:, 0], prev[:, 1] + 1, 1)
+        _, reached = yield from migrate_positions(
+            ids,
+            nodes,
+            np.flatnonzero(streaks >= self.config.migrate_streak),
+            self.config.max_migration_bytes_per_interval,
+        )
+        # Only the positions reached update the streak table.
+        head = slice(0, reached)
+        for page_id in ids[head][~live[head]].tolist():
+            self._streaks.pop(page_id, None)
+        kept = live[head]
+        self._streaks.update(
+            zip(
+                ids[head][kept].tolist(),
+                zip(nodes[head][kept].tolist(), streaks[head][kept].tolist()),
+            )
+        )
+        if reached < ids.size:
+            yield Note("migration budget exhausted")

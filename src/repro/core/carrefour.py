@@ -34,10 +34,10 @@ from repro.core.metrics import PageSampleTable
 from repro.sim.decisions import (
     ChargeCompute,
     Decision,
-    MigratePage,
     Note,
     Outcome,
     ReplicatePage,
+    migrate_positions,
 )
 from repro.sim.policy import PlacementPolicy
 from repro.vm.address_space import AddressSpace
@@ -124,40 +124,53 @@ class CarrefourEngine:
         replication_ok = cfg.replication_enabled and self._memory_headroom(
             address_space
         )
-        replication_candidates: list = []
         budget = cfg.max_migration_bytes_per_interval
-        for idx in order:
-            if budget <= 0:
-                yield Note("migration budget exhausted")
-                break
-            page_id = int(table.ids[idx])
-            if not address_space.backing_is_live(page_id):
-                # Sampled before a split/collapse changed the backing.
-                continue
-            if single[idx]:
-                target = int(dominant[idx])
-                self._interleaved.discard(page_id)
-            else:
-                # Shared page.  Read-mostly pages with enough evidence
-                # are *candidates* for replication, but balance comes
-                # first: they are interleaved now (one cheap migration)
-                # and upgraded to per-node replicas with whatever budget
-                # remains after this pass — otherwise a single interval
-                # of expensive copies would leave the hot node standing.
-                if (
-                    replication_ok
-                    and read_only[idx]
-                    and totals[idx] >= cfg.replication_min_samples
-                ):
-                    replication_candidates.append(page_id)
-                if page_id in self._interleaved:
-                    continue
-                target = int(self._rng.integers(0, n_nodes))
-                self._interleaved.add(page_id)
-            outcome = yield MigratePage(page_id, target)
-            if not outcome.applied:
-                continue
-            budget -= outcome.bytes_moved
+        ids = table.ids[order]
+        # Pages sampled before a split/collapse changed the backing are
+        # dead and skipped.
+        live = address_space.live_backing_mask(ids)
+        single_now = single[order] & live
+        shared = ~single[order] & live
+        # Shared pages: read-mostly ones with enough evidence are
+        # *candidates* for replication, but balance comes first: they
+        # are interleaved now (one cheap migration) and upgraded to
+        # per-node replicas with whatever budget remains after this
+        # pass, otherwise a single interval of expensive copies would
+        # leave the hot node standing.
+        candidate = shared & read_only[order] & (
+            totals[order] >= cfg.replication_min_samples
+        )
+        candidate &= replication_ok
+        shared_ids = ids[shared].tolist()
+        interleaved_before = np.zeros(ids.size, dtype=bool)
+        interleaved_before[shared] = np.fromiter(
+            map(self._interleaved.__contains__, shared_ids),
+            dtype=bool,
+            count=len(shared_ids),
+        )
+        draw = shared & ~interleaved_before
+        targets = np.where(single_now, dominant[order], 0)
+        n_draws = int(np.count_nonzero(draw))
+        rng_state = self._rng.bit_generator.state
+        if n_draws:
+            targets[draw] = self._rng.integers(0, n_nodes, size=n_draws)
+        spent, reached = yield from migrate_positions(
+            ids, targets, np.flatnonzero(single_now | draw), budget
+        )
+        # A page-at-a-time loop draws only for the positions it reached:
+        # leave the generator where those draws would have left it.
+        used_draws = int(np.count_nonzero(draw[:reached]))
+        if used_draws < n_draws:
+            self._rng.bit_generator.state = rng_state
+            if used_draws:
+                self._rng.integers(0, n_nodes, size=used_draws)
+        head = slice(0, reached)
+        self._interleaved.difference_update(ids[head][single_now[head]].tolist())
+        self._interleaved.update(ids[head][draw[head]].tolist())
+        replication_candidates = ids[head][candidate[head]].tolist()
+        if reached < ids.size:
+            yield Note("migration budget exhausted")
+        budget -= int(spent.sum())
 
         # Second pass: spend leftover budget upgrading read-mostly
         # shared pages to replicas (hottest first, as ordered above).

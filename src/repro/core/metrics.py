@@ -71,12 +71,16 @@ class PageSampleTable:
         else:
             keys = np.asarray(samples.granule, dtype=np.int64)
         ids, inverse = np.unique(keys, return_inverse=True)
-        node_counts = np.zeros((ids.size, n_nodes))
-        np.add.at(
-            node_counts, (inverse, samples.accessing_node.astype(np.int64)), 1.0
+        # Integer counts, so bincount's float64 results are exact.
+        flat = inverse * n_nodes + samples.accessing_node.astype(np.int64)
+        node_counts = np.bincount(flat, minlength=ids.size * n_nodes).reshape(
+            ids.size, n_nodes
+        ).astype(np.float64)
+        write_counts = np.bincount(
+            inverse,
+            weights=samples.is_write.astype(np.float64),
+            minlength=ids.size,
         )
-        write_counts = np.zeros(ids.size)
-        np.add.at(write_counts, inverse, samples.is_write.astype(np.float64))
         # Distinct accessing threads per page, via a packed
         # (page, thread) pair key.  The multiplier must exceed every
         # thread id or pairs from different pages would collide and

@@ -5,8 +5,9 @@ backing, seed, complete :class:`~repro.sim.config.SimConfig`), so their
 results can be reused across processes and sessions.  Entries are
 pickled :class:`~repro.sim.results.SimulationResult` objects stored
 under ``~/.cache/repro`` (override with ``REPRO_CACHE_DIR``), keyed by
-a SHA-256 fingerprint of the *full* run identity plus a package version
-stamp — bumping :data:`repro.__version__` invalidates every entry, so
+a SHA-256 fingerprint of the *full* run identity plus a code stamp (the
+package version and a digest of the simulation sources, see
+:func:`version_stamp`) — editing the model invalidates every entry, so
 model changes can never resurrect stale numbers.
 
 Writes are atomic (tmp file + :func:`os.replace`) so a crashed or
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import logging
 import os
@@ -46,15 +48,41 @@ CACHE_ENABLE_ENV = "REPRO_CACHE"
 _DISABLE_VALUES = {"0", "off", "false", "no"}
 
 
-def version_stamp() -> str:
-    """The package version folded into every cache key.
+#: Package parts that cannot change a simulation result (the static
+#: analyzers and the command line); edits there keep cached entries.
+_STAMP_EXCLUDE = ("analysis", "cli.py")
 
-    Imported lazily so this module does not cycle with ``repro``'s
-    package ``__init__`` (which imports the runner, which imports us).
+
+def source_digest(root: pathlib.Path) -> str:
+    """SHA-256 over the simulation sources of the package at ``root``."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        if rel.parts[0] in _STAMP_EXCLUDE:
+            continue
+        digest.update(rel.as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _package_digest() -> str:
+    return source_digest(pathlib.Path(__file__).resolve().parents[1])
+
+
+def version_stamp() -> str:
+    """The code stamp folded into every cache key.
+
+    The package version plus a digest of the simulation sources,
+    hashed once per process: editing any module that can change a
+    result invalidates every entry, without a version bump.  The
+    version is imported lazily so this module does not cycle with
+    ``repro``'s package ``__init__`` (which imports the runner, which
+    imports us).
     """
     from repro import __version__
 
-    return __version__
+    return f"{__version__}+{_package_digest()[:16]}"
 
 
 def cache_enabled() -> bool:

@@ -37,8 +37,8 @@ against the executor:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import ClassVar, Generator, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +60,21 @@ class Outcome:
     count: int = 0
     #: Why the decision was not applied ("" when applied).
     reason: str = ""
+    #: Bytes moved per element of a :class:`MigratePages` batch.
+    moved: Optional[np.ndarray] = field(default=None, compare=False)
+
+
+def budget_reach(spent: np.ndarray, budget: Optional[int]) -> int:
+    """Leading positions a loop that stops once ``budget`` is spent reaches.
+
+    ``spent[i]`` is what position ``i`` spent; a position is reached
+    while the total spent before it is still below ``budget`` (every
+    position is reached without a budget).
+    """
+    if budget is None:
+        return int(spent.size)
+    before = np.cumsum(spent) - spent
+    return int(np.searchsorted(before, budget, side="left"))
 
 
 #: Valid values for :attr:`Decision.domain`.
@@ -112,9 +127,18 @@ class Note(Decision):
         return {"kind": "Note", "text": self.text}
 
 
-@dataclass(frozen=True)
-class MigratePage(Decision):
-    """Migrate one backing page (any size) to ``target_node``."""
+@dataclass(frozen=True, eq=False)
+class MigratePages(Decision):
+    """Migrate backing pages (any size), in order, to per-page nodes.
+
+    One decision carries a whole interval's migrations: element ``i``
+    moves ``page_ids[i]`` to ``target_nodes[i]``.  With ``budget`` the
+    executor stops before the first element at which the bytes moved
+    so far reach it, exactly where a page-at-a-time loop checking its
+    remaining budget would stop.  The :class:`Outcome` carries the
+    bytes moved per element (``moved``).  ``eq=False`` for the same
+    reason as :class:`InterleaveRegion`.
+    """
 
     domain: ClassVar[str] = "page"
     counters: ClassVar[Tuple[str, ...]] = (
@@ -123,18 +147,51 @@ class MigratePage(Decision):
         "migrated_2m",
     )
 
-    page_id: int
-    target_node: NodeId
+    page_ids: np.ndarray
+    target_nodes: NodeArray
+    #: Byte budget for the batch (None: unlimited).
+    budget: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for name in ("page_ids", "target_nodes"):
+            value = np.asarray(getattr(self, name), dtype=np.int64).reshape(-1)
+            object.__setattr__(self, name, value)
 
     def targets(self) -> Tuple[Target, ...]:
-        return (("page", self.page_id),)
+        return tuple(("page", page_id) for page_id in self.page_ids.tolist())
 
     def payload(self) -> dict:
+        ids = self.page_ids
         return {
-            "kind": "MigratePage",
-            "page_id": self.page_id,
-            "target_node": self.target_node,
+            "kind": "MigratePages",
+            "n_pages": int(ids.size),
+            "budget": self.budget,
+            "page_lo": int(ids.min()) if ids.size else None,
+            "page_hi": int(ids.max()) if ids.size else None,
         }
+
+
+def migrate_positions(
+    page_ids: np.ndarray,
+    target_nodes: NodeArray,
+    moving: np.ndarray,
+    budget: Optional[int],
+) -> Generator[Decision, Outcome, Tuple[np.ndarray, int]]:
+    """Migrate the ``moving`` positions of a hottest-first page order.
+
+    Yields one :class:`MigratePages` for those positions (none when
+    empty) and returns the bytes spent per position together with how
+    many leading positions a page-at-a-time loop, stopping once the
+    budget is spent, would have reached.  Deciders commit their side
+    effects for those positions only.
+    """
+    spent = np.zeros(page_ids.size, dtype=np.int64)
+    if moving.size:
+        outcome = yield MigratePages(
+            page_ids[moving], target_nodes[moving], budget
+        )
+        spent[moving] = outcome.moved
+    return spent, budget_reach(spent, budget)
 
 
 @dataclass(frozen=True, eq=False)

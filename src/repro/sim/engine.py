@@ -19,6 +19,7 @@ multiplexing path as the colocation scenarios in
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -49,7 +50,7 @@ from repro.sim.decisions import (
     Collapse2M,
     Decision,
     InterleaveRegion,
-    MigratePage,
+    MigratePages,
     Note,
     Outcome,
     ReclaimPages,
@@ -59,6 +60,7 @@ from repro.sim.decisions import (
     Split2M,
     ToggleThpAlloc,
     ToggleThpPromotion,
+    budget_reach,
 )
 from repro.sim.policy import PlacementPolicy, PolicyActionSummary
 from repro.sim.profile import PhaseTimer, profile_enabled
@@ -219,7 +221,10 @@ class Tenant:
         self.page_tables = PageTableState(
             home_node=int(self.thread_nodes[0]) if self.n_threads else 0
         )
-        self.executor = ActionExecutor(self)
+        # A weak back-reference: without the executor <-> tenant cycle a
+        # finished run's state is freed as soon as the caller drops it,
+        # instead of whenever the cyclic garbage collector next runs.
+        self.executor = ActionExecutor(weakref.proxy(self))
         self.tracer = (
             DecisionTrace(
                 {
@@ -829,6 +834,10 @@ class ActionExecutor:
     the interval, and later deciders' decisions on it are skipped.  A
     single decider never consults claims, so its behaviour is untouched
     by composition support.
+
+    A :class:`MigratePages` batch is one handler call but counts as
+    the elements it reached in ``decisions_seen``/``_applied``/
+    ``_skipped``, and stacks resolve its conflicts per element.
     """
 
     def __init__(self, sim: "Simulation") -> None:
@@ -895,27 +904,84 @@ class ActionExecutor:
         index: int,
         source: str,
     ) -> Outcome:
-        self.decisions_seen += 1
-        targets = decision.targets()
-        if claimed is not None and any(
-            claimed.get(tgt, index) != index for tgt in targets
-        ):
-            outcome = Outcome(applied=False, reason="conflict")
-            self.decisions_skipped += 1
+        if type(decision) is MigratePages:
+            outcome = self._resolve_batch(decision, summary, claimed, index)
+            seen = budget_reach(outcome.moved, decision.budget)
+            applied = outcome.count
         else:
-            outcome = self._execute(decision, summary)
-            if outcome.applied:
-                self.decisions_applied += 1
-                if claimed is not None:
-                    for tgt in targets:
-                        claimed.setdefault(tgt, index)
-            else:
-                self.decisions_skipped += 1
+            outcome = self._resolve_one(decision, summary, claimed, index)
+            seen, applied = 1, int(outcome.applied)
+        self.decisions_seen += seen
+        self.decisions_applied += applied
+        self.decisions_skipped += seen - applied
         tracer = getattr(self.sim, "tracer", None)
         if tracer is not None:
             tracer.record(
                 self.sim.sim_time_s, self.sim.epoch, source, decision, outcome
             )
+        return outcome
+
+    def _resolve_one(
+        self,
+        decision: Decision,
+        summary: PolicyActionSummary,
+        claimed: Optional[Dict[Tuple[str, Any], int]],
+        index: int,
+    ) -> Outcome:
+        if claimed is None:
+            return self._execute(decision, summary)
+        targets = decision.targets()
+        if any(claimed.get(tgt, index) != index for tgt in targets):
+            return Outcome(applied=False, reason="conflict")
+        outcome = self._execute(decision, summary)
+        if outcome.applied:
+            for tgt in targets:
+                claimed.setdefault(tgt, index)
+        return outcome
+
+    def _resolve_batch(
+        self,
+        decision: MigratePages,
+        summary: PolicyActionSummary,
+        claimed: Optional[Dict[Tuple[str, Any], int]],
+        index: int,
+    ) -> Outcome:
+        """Apply a batch, resolving conflicts first-member-wins per element.
+
+        Elements on pages another decider already owns are dropped
+        before the kernel runs (they move nothing and spend no budget)
+        and report 0 bytes; every element that moved claims its page.
+        """
+        if claimed is None:
+            return self._execute(decision, summary)
+        targets = decision.targets()
+        free = np.fromiter(
+            (claimed.get(tgt, index) == index for tgt in targets),
+            dtype=bool,
+            count=len(targets),
+        )
+        if free.all():
+            outcome = self._execute(decision, summary)
+        else:
+            inner = self._execute(
+                MigratePages(
+                    decision.page_ids[free],
+                    decision.target_nodes[free],
+                    decision.budget,
+                ),
+                summary,
+            )
+            moved = np.zeros(free.size, dtype=np.int64)
+            moved[free] = inner.moved
+            outcome = Outcome(
+                applied=inner.applied,
+                bytes_moved=inner.bytes_moved,
+                count=inner.count,
+                reason=inner.reason if free.any() else "conflict",
+                moved=moved,
+            )
+        for element in np.flatnonzero(outcome.moved).tolist():
+            claimed.setdefault(targets[element], index)
         return outcome
 
     # ------------------------------------------------------------------
@@ -940,20 +1006,24 @@ class ActionExecutor:
         summary.add_note(decision.text)
         return Outcome(applied=True)
 
-    def _apply_migrate_page(
-        self, decision: MigratePage, summary: PolicyActionSummary
+    def _apply_migrate_pages(
+        self, decision: MigratePages, summary: PolicyActionSummary
     ) -> Outcome:
         moved = self.sim.asp.migrate_backing(
-            decision.page_id, decision.target_node
+            decision.page_ids, decision.target_nodes, decision.budget
         )
-        if moved == 0:
-            return Outcome(applied=False, reason="not moved")
-        summary.bytes_migrated += moved
-        if moved == PAGE_4K:
-            summary.migrated_4k += 1
-        elif moved == PAGE_2M:
-            summary.migrated_2m += 1
-        return Outcome(applied=True, bytes_moved=moved, count=1)
+        total = int(moved.sum())
+        count = int(np.count_nonzero(moved))
+        summary.bytes_migrated += total
+        summary.migrated_4k += int(np.count_nonzero(moved == PAGE_4K))
+        summary.migrated_2m += int(np.count_nonzero(moved == PAGE_2M))
+        return Outcome(
+            applied=count > 0,
+            bytes_moved=total,
+            count=count,
+            reason="" if count else "not moved",
+            moved=moved,
+        )
 
     def _apply_interleave_region(
         self, decision: InterleaveRegion, summary: PolicyActionSummary
@@ -1076,7 +1146,7 @@ class ActionExecutor:
     ] = {
         ChargeCompute: _apply_charge_compute,
         Note: _apply_note,
-        MigratePage: _apply_migrate_page,
+        MigratePages: _apply_migrate_pages,
         InterleaveRegion: _apply_interleave_region,
         Split2M: _apply_split_2m,
         Split1G: _apply_split_1g,

@@ -46,6 +46,9 @@ from repro.vm.layout import (
 BACKING_ID_2M_OFFSET = 1 << 40
 BACKING_ID_1G_OFFSET = 1 << 41
 
+#: 4KB elements analysed per array step of :meth:`AddressSpace.migrate_backing`.
+_MIGRATE_WINDOW = 1024
+
 
 @dataclass
 class FaultStats:
@@ -333,6 +336,21 @@ class AddressSpace:
             return 0 <= chunk < self.n_chunks_2m and bool(self.huge[chunk])
         gchunk = backing_id - BACKING_ID_1G_OFFSET
         return 0 <= gchunk < self.n_chunks_1g and bool(self.giga[gchunk])
+
+    def live_backing_mask(self, backing_ids: np.ndarray) -> np.ndarray:
+        """:meth:`backing_is_live` for every id of an array."""
+        ids = np.asarray(backing_ids, dtype=np.int64)
+        live = np.zeros(ids.shape, dtype=bool)
+        sel = (ids >= 0) & (ids < self.n_granules)
+        live[sel] = self.node4k[ids[sel]] >= 0
+        for bitmap, offset in (
+            (self.huge, BACKING_ID_2M_OFFSET),
+            (self.giga, BACKING_ID_1G_OFFSET),
+        ):
+            chunk = ids - offset
+            sel = (chunk >= 0) & (chunk < bitmap.size)
+            live[sel] = bitmap[chunk[sel]]
+        return live
 
     def node_of_backing(self, backing_id: int) -> NodeId:
         """Home node of a backing page (-1 if unmapped)."""
@@ -640,62 +658,168 @@ class AddressSpace:
         self._bump_version()
         return True
 
-    def migrate_backing(self, backing_id: int, dst_node: NodeId) -> Bytes:
-        """Migrate one backing page to ``dst_node``; returns bytes moved.
+    def migrate_backing(
+        self,
+        backing_ids: np.ndarray,
+        dst_nodes: NodeArray,
+        budget: Optional[Bytes] = None,
+    ) -> BytesArray:
+        """Migrate backing pages (any size), in order; bytes per element.
 
-        Returns 0 when the page is already on the destination or the
-        destination cannot hold it (migration is then skipped, matching
-        the kernel's best-effort behaviour).
+        Element ``i`` moves page ``backing_ids[i]`` to ``dst_nodes[i]``
+        exactly as if the pages were migrated one at a time: it moves
+        0 bytes when the page is already on the destination, is
+        replicated, or the destination cannot hold it (best effort, as
+        in the kernel).  With ``budget``, the batch stops before the
+        first element at which the bytes moved so far reach it; later
+        elements report 0.  The whole batch is validated before
+        anything moves.
+
+        Runs of 4KB moves are applied as array operations.  A scalar
+        step takes over wherever a node's small-frame pool would carve
+        or return a 2MB block (which includes a destination without
+        free frames) and for every 2MB or 1GB element, so each node's
+        buddy allocator sees the same ``alloc``/``free`` sequence as
+        page-at-a-time migration.
         """
-        if not 0 <= dst_node < self.n_nodes:
-            raise MappingError(f"destination node {dst_node} out of range")
-        kind = self.backing_id_kind(backing_id)
-        if kind is PageSize.SIZE_4K:
-            granule = backing_id
-            src = int(self.node4k[granule])
-            if src < 0:
-                raise MappingError(f"granule {granule} is not 4KB-mapped")
-            if self.replicated_4k[granule]:
-                return 0  # already local everywhere
-            if src == dst_node:
-                return 0
-            if self.phys[dst_node].free_bytes < PAGE_4K:
-                return 0
-            self.phys[dst_node].alloc_small(1)
-            self.phys[src].free_small(1)
-            self.node4k[granule] = dst_node
+        ids = np.asarray(backing_ids, dtype=np.int64).reshape(-1)
+        dst = np.asarray(dst_nodes, dtype=np.int64).reshape(-1)
+        if ids.shape != dst.shape:
+            raise MappingError("backing_ids and dst_nodes must align")
+        moved = np.zeros(ids.size, dtype=np.int64)
+        if ids.size == 0:
+            return moved
+        self._check_migration(ids, dst)
+        limit = np.iinfo(np.int64).max if budget is None else int(budget)
+        # Index of each element's previous occurrence in the batch (-1
+        # for a first one): a repeat must see the earlier move.
+        by_id = np.argsort(ids, kind="stable")
+        again = ids[by_id[1:]] == ids[by_id[:-1]]
+        previous = np.full(ids.size, -1, dtype=np.int64)
+        previous[by_id[1:][again]] = by_id[:-1][again]
+        total = 0
+        start = 0
+        for stop in np.flatnonzero(ids >= BACKING_ID_2M_OFFSET).tolist() + [
+            ids.size
+        ]:
+            if start < stop:
+                total = self._migrate_4k_run(
+                    ids, dst, previous, moved, start, stop, total, limit
+                )
+            if total >= limit or stop == ids.size:
+                break
+            moved[stop] = self._migrate_large(int(ids[stop]), int(dst[stop]))
+            total += int(moved[stop])
+            start = stop + 1
+        if total:
             self._bump_version()
-            return PAGE_4K
-        if kind is PageSize.SIZE_2M:
+        return moved
+
+    def _check_migration(self, ids: np.ndarray, dst: np.ndarray) -> None:
+        """Raise MappingError for a bad node or a page that is not live."""
+        bad_node = (dst < 0) | (dst >= self.n_nodes)
+        if np.any(bad_node):
+            node = int(dst[np.argmax(bad_node)])
+            raise MappingError(f"destination node {node} out of range")
+        live = self.live_backing_mask(ids)
+        if not np.all(live):
+            raise MappingError(
+                f"backing id {int(ids[np.argmin(live)])} is not live"
+            )
+
+    def _migrate_4k_run(
+        self,
+        ids: np.ndarray,
+        dst: np.ndarray,
+        previous: np.ndarray,
+        moved: np.ndarray,
+        lo: int,
+        hi: int,
+        total: Bytes,
+        limit: Bytes,
+    ) -> Bytes:
+        """Apply the 4KB elements ``lo:hi`` in windows; returns bytes moved.
+
+        Each window applies, as one array update, the longest prefix in
+        which no pool leaves its :meth:`~repro.vm.frame_allocator.NodeMemory.pool_window`,
+        no granule repeats one earlier in the window and the budget
+        still holds; the element that would leave a pool window then
+        takes a scalar step.
+        """
+        levels_ceilings = np.empty((2, self.n_nodes), dtype=np.int64)
+        i = lo
+        while i < hi and total < limit:
+            g = ids[i : min(hi, i + _MIGRATE_WINDOW)]
+            d = dst[i : i + g.size]
+            src = self.node4k[g].astype(np.int64)
+            moving = (src != d) & ~self.replicated_4k[g]
+            rows = np.flatnonzero(moving)
+            # Bytes moved before each element, for the budget cut.
+            before = total + PAGE_4K * (np.cumsum(moving) - moving)
+            cut = int(np.searchsorted(before, limit, side="left"))
+            repeat = previous[i : i + g.size] >= i
+            dup_cut = int(np.argmax(repeat)) if repeat.any() else g.size
+            for node in range(self.n_nodes):
+                levels_ceilings[:, node] = self.phys[node].pool_window()
+            level, ceiling = levels_ceilings
+            delta = np.zeros((g.size, self.n_nodes), dtype=np.int64)
+            delta[rows, d[rows]] = -1
+            delta[rows, src[rows]] = 1
+            after = level + np.cumsum(delta, axis=0)
+            leaves = np.zeros(g.size, dtype=bool)
+            leaves[rows] = (after[rows, d[rows]] < 0) | (
+                after[rows, src[rows]] >= ceiling[src[rows]]
+            )
+            pool_cut = int(np.argmax(leaves)) if leaves.any() else g.size
+            n = min(cut, dup_cut, pool_cut)
+            if n:
+                applied = rows[rows < n]
+                self.node4k[g[applied]] = d[applied]
+                for node in np.flatnonzero(after[n - 1] != level).tolist():
+                    self.phys[node].settle_pool(int(after[n - 1, node] - level[node]))
+                moved[i + applied] = PAGE_4K
+                total += PAGE_4K * int(applied.size)
+            i += n
+            if n == pool_cut and n < min(cut, dup_cut):
+                moved[i] = self._migrate_4k_step(int(g[n]), int(d[n]))
+                total += int(moved[i])
+                i += 1
+        return total
+
+    def _migrate_4k_step(self, granule: int, dst_node: int) -> Bytes:
+        """One 4KB move through the allocator; bytes moved."""
+        src = int(self.node4k[granule])
+        if self.replicated_4k[granule] or src == dst_node:
+            return 0
+        if self.phys[dst_node].free_bytes < PAGE_4K:
+            return 0
+        self.phys[dst_node].alloc_small(1)
+        self.phys[src].free_small(1)
+        self.node4k[granule] = dst_node
+        return PAGE_4K
+
+    def _migrate_large(self, backing_id: int, dst_node: int) -> Bytes:
+        """Move one 2MB or 1GB page; bytes moved."""
+        if backing_id < BACKING_ID_1G_OFFSET:
             chunk = backing_id - BACKING_ID_2M_OFFSET
-            if not self.huge[chunk]:
-                raise MappingError(f"2MB chunk {chunk} is not huge-backed")
             if self.replicated_2m[chunk]:
                 return 0  # already local everywhere
             src = int(self.node2m[chunk])
-            if src == dst_node:
-                return 0
-            if not self.phys[dst_node].can_alloc_huge():
+            if src == dst_node or not self.phys[dst_node].can_alloc_huge():
                 return 0
             block = self.phys[dst_node].alloc_huge()
             self.phys[src].free_huge(int(self._block2m[chunk]))
             self.node2m[chunk] = dst_node
             self._block2m[chunk] = block
-            self._bump_version()
             return int(PageSize.SIZE_2M)
         gchunk = backing_id - BACKING_ID_1G_OFFSET
-        if not self.giga[gchunk]:
-            raise MappingError(f"1GB chunk {gchunk} is not giga-backed")
         src = int(self.node1g[gchunk])
-        if src == dst_node:
-            return 0
-        if not self.phys[dst_node].can_alloc_giga():
+        if src == dst_node or not self.phys[dst_node].can_alloc_giga():
             return 0
         block = self.phys[dst_node].alloc_giga()
         self.phys[src].free_giga(int(self._block1g[gchunk]))
         self.node1g[gchunk] = dst_node
         self._block1g[gchunk] = block
-        self._bump_version()
         return int(PageSize.SIZE_1G)
 
     def migrate_granules(self, granules: Pages4KArray, dst_nodes: NodeArray) -> Bytes:

@@ -18,8 +18,9 @@ it holds at least a full block of free frames.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import AllocationError, ConfigurationError
 from repro.units import Bytes, NodeId, Pages4K
@@ -261,6 +262,32 @@ class NodeMemory:
             start = self._pool_blocks.pop()
             self.buddy.free(start, ORDER_2M)
             self._pool_free -= 1 << ORDER_2M
+
+    def pool_window(self) -> Tuple[Pages4K, Pages4K]:
+        """``(level, ceiling)`` of the small-frame pool.
+
+        A sequence of one-frame :meth:`alloc_small`/:meth:`free_small`
+        calls touches only the pool while the free count stays in
+        ``[0, ceiling)`` after every call: an allocation from an empty
+        pool carves a buddy block, and a free that fills a whole block
+        returns one while the pool holds carved blocks.  The ceiling is
+        unbounded (``sys.maxsize``) when it holds none.
+        """
+        ceiling = 1 << ORDER_2M if self._pool_blocks else sys.maxsize
+        return self._pool_free, ceiling
+
+    def settle_pool(self, net: Pages4K) -> None:
+        """Apply the net frame count of one-frame calls inside the window.
+
+        Equivalent to replaying the calls one by one, given that none
+        of them left the :meth:`pool_window` (the caller's guarantee).
+        """
+        level, ceiling = self.pool_window()
+        if not 0 <= level + net < ceiling:
+            raise AllocationError(
+                f"node {self.node_id}: pool settle by {net} leaves the window"
+            )
+        self._pool_free = level + net
 
     # ------------------------------------------------------------------
     # Huge (2MB) and giga (1GB) pages — identity-tracked buddy blocks

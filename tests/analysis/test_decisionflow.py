@@ -543,6 +543,19 @@ def test_shipped_kernel_model_is_complete():
     assert "bytes_migrated" in model.action_fields
 
 
+def test_batch_targets_are_proved_not_skipped():
+    # MigratePages claims one key per element through a generator
+    # expression; R113 must parse its kinds rather than treat the
+    # targets() body as opaque and skip the check.
+    model = shipped_model()
+    (batch,) = [
+        info for info in model.decisions.values() if info.name == "MigratePages"
+    ]
+    assert not batch.opaque_targets
+    assert batch.target_kinds == ("page",)
+    assert batch.domain == "page"
+
+
 def test_shipped_policies_prove_pure_under_r110():
     from repro.analysis.decisionflow import check_purity
     from repro.experiments.configs import POLICIES

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
 import pickle
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -16,6 +18,8 @@ from repro.experiments.cache import (
     cache_enabled,
     cache_root,
     run_fingerprint,
+    source_digest,
+    version_stamp,
 )
 from repro.experiments.runner import (
     RunSettings,
@@ -97,6 +101,41 @@ class TestFingerprint:
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
         after = run_fingerprint("Kmeans", "A", "thp", False, config, 0)
         assert before != after
+
+
+class TestCodeStamp:
+    """Editing a module that can change results invalidates the cache."""
+
+    @pytest.fixture
+    def package(self, tmp_path):
+        src = pathlib.Path(repro.__file__).resolve().parent
+        dst = tmp_path / "repro"
+        shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
+        return dst
+
+    @staticmethod
+    def _edit(path: pathlib.Path) -> None:
+        path.write_text(path.read_text() + "\n# edited\n")
+
+    def test_copy_matches_installed_package(self, package):
+        assert source_digest(package) == source_digest(
+            pathlib.Path(repro.__file__).resolve().parent
+        )
+
+    def test_engine_edit_changes_stamp(self, package):
+        before = source_digest(package)
+        self._edit(package / "sim" / "engine.py")
+        assert source_digest(package) != before
+
+    def test_analysis_and_cli_edits_keep_stamp(self, package):
+        before = source_digest(package)
+        self._edit(package / "analysis" / "rules.py")
+        self._edit(package / "cli.py")
+        assert source_digest(package) == before
+
+    def test_stamp_carries_source_digest(self):
+        digest = source_digest(pathlib.Path(repro.__file__).resolve().parent)
+        assert version_stamp() == f"{repro.__version__}+{digest[:16]}"
 
 
 class TestMemoKeyRegression:

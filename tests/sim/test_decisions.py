@@ -10,7 +10,7 @@ from repro.hardware.counters import CounterBank
 from repro.hardware.ibs import IbsSamples
 from repro.sim.decisions import (
     ChargeCompute,
-    MigratePage,
+    MigratePages,
     Note,
     Outcome,
     ReclaimPages,
@@ -86,7 +86,7 @@ class TestExecutorApply:
     def test_migrate_page_applied(self):
         host = make_host()
         summary, _ = apply_decisions(
-            host, gen_of(MigratePage(BACKING_ID_2M_OFFSET, 1))
+            host, gen_of(MigratePages([BACKING_ID_2M_OFFSET], [1]))
         )
         assert summary.migrated_2m == 1
         assert summary.bytes_migrated == PAGE_2M
@@ -98,7 +98,7 @@ class TestExecutorApply:
         summary = PolicyActionSummary()
         # Already on node 0: nothing moves, decision is a skip.
         executor.drive(
-            gen_of(MigratePage(BACKING_ID_2M_OFFSET, 0)), summary
+            gen_of(MigratePages([BACKING_ID_2M_OFFSET], [0])), summary
         )
         assert executor.decisions_skipped == 1
         assert summary.bytes_migrated == 0
@@ -137,8 +137,8 @@ class TestExecutorApply:
         decider = FakeDecider(
             "fb",
             [
-                MigratePage(BACKING_ID_2M_OFFSET, 1),  # moves
-                MigratePage(BACKING_ID_2M_OFFSET, 1),  # already there
+                MigratePages([BACKING_ID_2M_OFFSET], [1]),  # moves
+                MigratePages([BACKING_ID_2M_OFFSET], [1]),  # already there
             ],
         )
         executor = ActionExecutor(host)
@@ -148,7 +148,9 @@ class TestExecutorApply:
         )
         first, second = decider.outcomes
         assert first.applied and first.bytes_moved == PAGE_2M
+        assert first.moved.tolist() == [PAGE_2M]
         assert not second.applied
+        assert second.moved.tolist() == [0]
 
     def test_conservation_counters(self):
         host = make_host()
@@ -157,8 +159,8 @@ class TestExecutorApply:
         executor.drive(
             gen_of(
                 ChargeCompute(0.1),
-                MigratePage(BACKING_ID_2M_OFFSET, 1),
-                MigratePage(BACKING_ID_2M_OFFSET, 1),  # no-op: skip
+                MigratePages([BACKING_ID_2M_OFFSET], [1]),
+                MigratePages([BACKING_ID_2M_OFFSET], [1]),  # no-op: skip
             ),
             summary,
         )
@@ -167,6 +169,68 @@ class TestExecutorApply:
             executor.decisions_seen
             == executor.decisions_applied + executor.decisions_skipped
         )
+
+    def test_batch_counts_elements(self):
+        host = make_host()
+        executor = ActionExecutor(host)
+        summary = PolicyActionSummary()
+        ids = [BACKING_ID_2M_OFFSET + c for c in range(3)]
+        executor.drive(
+            gen_of(MigratePages(ids + ids[:1], [1, 0, 1, 1])), summary
+        )
+        # Chunk 1 is already on node 0 and the repeat of chunk 0 is a
+        # no-op: four elements seen, two applied, two skipped.
+        assert executor.decisions_seen == 4
+        assert executor.decisions_applied == 2
+        assert executor.decisions_skipped == 2
+        assert summary.migrated_2m == 2
+        assert summary.bytes_migrated == 2 * PAGE_2M
+
+    def test_batch_budget_limits_elements_seen(self):
+        host = make_host()
+        decider = FakeDecider(
+            "b",
+            [
+                MigratePages(
+                    [BACKING_ID_2M_OFFSET + c for c in range(4)],
+                    [1, 1, 1, 1],
+                    budget=PAGE_2M + 1,
+                )
+            ],
+        )
+        executor = ActionExecutor(host)
+        summary = PolicyActionSummary()
+        executor.drive(
+            decider.decide(host, IbsSamples.empty(), None), summary
+        )
+        (outcome,) = decider.outcomes
+        # Two moves reach the budget; the executor never gets to the rest.
+        assert outcome.moved.tolist() == [PAGE_2M, PAGE_2M, 0, 0]
+        assert executor.decisions_seen == 2
+        assert executor.decisions_applied == 2
+        assert summary.migrated_2m == 2
+
+    def test_batch_mixed_sizes_tallied_per_size(self):
+        host = make_host(n_chunks=4)
+        host.asp.split_chunk(1)
+        summary, _ = apply_decisions(
+            host,
+            gen_of(
+                MigratePages(
+                    [BACKING_ID_2M_OFFSET, GRANULES_PER_2M, GRANULES_PER_2M + 1],
+                    [1, 1, 0],
+                )
+            ),
+        )
+        assert summary.migrated_2m == 1
+        assert summary.migrated_4k == 1
+        assert summary.bytes_migrated == PAGE_2M + PAGE_4K
+
+    def test_outcome_equality_ignores_moved(self):
+        a = Outcome(True, bytes_moved=PAGE_4K, count=1, moved=np.array([PAGE_4K]))
+        b = Outcome(True, bytes_moved=PAGE_4K, count=1, moved=np.array([0, PAGE_4K]))
+        assert a == b
+        assert hash(a) == hash(b)
 
 
 class TestReclaimPages:
@@ -211,7 +275,7 @@ class TestReclaimPages:
     def test_page_id_claims_conflict_domain(self):
         host = self.make_4k_host()
         a = FakeDecider("a", [ReclaimPages(np.arange(4), page_id=0)])
-        b = FakeDecider("b", [MigratePage(0, 1)])
+        b = FakeDecider("b", [MigratePages([0], [1])])
         run_stack(host, a, b)
         assert a.outcomes[0].applied
         assert b.outcomes[0].reason == "conflict"
@@ -229,8 +293,8 @@ class TestReclaimPages:
 class TestConflictResolution:
     def test_first_decider_wins_page(self):
         host = make_host()
-        a = FakeDecider("a", [MigratePage(BACKING_ID_2M_OFFSET, 1)])
-        b = FakeDecider("b", [MigratePage(BACKING_ID_2M_OFFSET, 0)])
+        a = FakeDecider("a", [MigratePages([BACKING_ID_2M_OFFSET], [1])])
+        b = FakeDecider("b", [MigratePages([BACKING_ID_2M_OFFSET], [0])])
         run_stack(host, a, b)
         # b's migration back to node 0 was skipped as a conflict.
         assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
@@ -241,8 +305,8 @@ class TestConflictResolution:
         a = FakeDecider(
             "a",
             [
-                MigratePage(BACKING_ID_2M_OFFSET, 1),
-                MigratePage(BACKING_ID_2M_OFFSET, 0),
+                MigratePages([BACKING_ID_2M_OFFSET], [1]),
+                MigratePages([BACKING_ID_2M_OFFSET], [0]),
             ],
         )
         b = FakeDecider("b", [ChargeCompute(0.0)])
@@ -254,8 +318,8 @@ class TestConflictResolution:
         host = make_host()
         # a's migrate is a no-op (page already local) so it must not
         # claim the page against b.
-        a = FakeDecider("a", [MigratePage(BACKING_ID_2M_OFFSET, 0)])
-        b = FakeDecider("b", [MigratePage(BACKING_ID_2M_OFFSET, 1)])
+        a = FakeDecider("a", [MigratePages([BACKING_ID_2M_OFFSET], [0])])
+        b = FakeDecider("b", [MigratePages([BACKING_ID_2M_OFFSET], [1])])
         run_stack(host, a, b)
         assert not a.outcomes[0].applied
         assert b.outcomes[0].applied
@@ -271,18 +335,69 @@ class TestConflictResolution:
 
     def test_distinct_pages_no_conflict(self):
         host = make_host()
-        a = FakeDecider("a", [MigratePage(BACKING_ID_2M_OFFSET, 1)])
-        b = FakeDecider("b", [MigratePage(BACKING_ID_2M_OFFSET + 1, 1)])
+        a = FakeDecider("a", [MigratePages([BACKING_ID_2M_OFFSET], [1])])
+        b = FakeDecider("b", [MigratePages([BACKING_ID_2M_OFFSET + 1], [1])])
         run_stack(host, a, b)
         assert a.outcomes[0].applied and b.outcomes[0].applied
+
+    def test_conflicts_resolved_per_element(self):
+        host = make_host()
+        a = FakeDecider("a", [MigratePages([BACKING_ID_2M_OFFSET], [1])])
+        b = FakeDecider(
+            "b",
+            [
+                MigratePages(
+                    [BACKING_ID_2M_OFFSET, BACKING_ID_2M_OFFSET + 1], [0, 1]
+                )
+            ],
+        )
+        executor, summary = run_stack(host, a, b)
+        # b loses chunk 0 to a but still moves chunk 1.
+        assert b.outcomes[0].moved.tolist() == [0, PAGE_2M]
+        assert b.outcomes[0].applied
+        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
+        assert host.asp.node_of_backing(BACKING_ID_2M_OFFSET + 1) == 1
+        assert executor.decisions_seen == 3
+        assert executor.decisions_skipped == 1
+
+    def test_batch_claims_only_moved_elements(self):
+        host = make_host()
+        # a's element on chunk 0 is a no-op, so only chunk 1 is claimed.
+        a = FakeDecider(
+            "a",
+            [MigratePages([BACKING_ID_2M_OFFSET, BACKING_ID_2M_OFFSET + 1], [0, 1])],
+        )
+        b = FakeDecider(
+            "b",
+            [MigratePages([BACKING_ID_2M_OFFSET, BACKING_ID_2M_OFFSET + 1], [1, 0])],
+        )
+        run_stack(host, a, b)
+        assert a.outcomes[0].moved.tolist() == [0, PAGE_2M]
+        assert b.outcomes[0].moved.tolist() == [PAGE_2M, 0]
+
+    def test_conflicted_elements_spend_no_budget(self):
+        host = make_host()
+        a = FakeDecider("a", [MigratePages([BACKING_ID_2M_OFFSET], [1])])
+        b = FakeDecider(
+            "b",
+            [
+                MigratePages(
+                    [BACKING_ID_2M_OFFSET + c for c in range(3)],
+                    [0, 1, 1],
+                    budget=PAGE_2M,
+                )
+            ],
+        )
+        run_stack(host, a, b)
+        assert b.outcomes[0].moved.tolist() == [0, PAGE_2M, 0]
 
     def test_single_decider_never_conflicts_with_itself(self):
         host = make_host()
         a = FakeDecider(
             "a",
             [
-                MigratePage(BACKING_ID_2M_OFFSET, 1),
-                MigratePage(BACKING_ID_2M_OFFSET, 0),
+                MigratePages([BACKING_ID_2M_OFFSET], [1]),
+                MigratePages([BACKING_ID_2M_OFFSET], [0]),
             ],
         )
         executor = ActionExecutor(host)
@@ -412,10 +527,10 @@ class TestDecisionMetadata:
     def test_mutating_domains_match_targets(self):
         # A decision claiming page/pt targets must declare that domain,
         # or the executor's conflict arbitration would miss it.
-        from repro.sim.decisions import MigratePage, ReplicatePageTables
+        from repro.sim.decisions import MigratePages, ReplicatePageTables
 
-        assert MigratePage.domain == "page"
-        assert MigratePage(0, 1).targets()[0][0] == "page"
+        assert MigratePages.domain == "page"
+        assert MigratePages([0], [1]).targets()[0][0] == "page"
         assert ReplicatePageTables.domain == "pt"
 
     def test_handler_table_covers_every_decision(self):
@@ -426,7 +541,7 @@ class TestDecisionMetadata:
             assert hasattr(ActionExecutor, method.__name__)
 
     def test_metadata_does_not_change_frozen_semantics(self):
-        decision = MigratePage(3, 1)
+        decision = MigratePages([3], [1])
         with pytest.raises(Exception):
             decision.page_id = 4  # still a frozen dataclass
         # ClassVar metadata stays off the instance fields.

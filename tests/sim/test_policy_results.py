@@ -190,7 +190,7 @@ class TestCustomPolicyExample:
 
     def test_migrations_are_applied_by_the_executor(self, monkeypatch):
         from repro.hardware.machines import machine_b
-        from repro.sim.decisions import MigratePage
+        from repro.sim.decisions import MigratePages
 
         example = self._example()
         yielded = []
@@ -198,7 +198,7 @@ class TestCustomPolicyExample:
 
         def spy(policy, sim, samples, window):
             for decision in decide(policy, sim, samples, window):
-                assert isinstance(decision, MigratePage)
+                assert isinstance(decision, MigratePages)
                 yielded.append(decision)
                 yield decision
 
@@ -213,7 +213,7 @@ class TestCustomPolicyExample:
         metrics = result.metrics()
         migrated = metrics.pages_migrated_4k + metrics.pages_migrated_2m
         assert yielded
-        assert 0 < migrated <= len(yielded)
+        assert 0 < migrated <= sum(d.page_ids.size for d in yielded)
         assert migrated == sum(
             s.migrated_4k + s.migrated_2m for _, s in result.action_log
         )

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.experiments.runner import run_benchmark
-from repro.sim.decisions import MigratePage, Outcome
+from repro.sim.decisions import MigratePages, Outcome
 from repro.sim.trace import (
     TRACE_ENV,
     TRACE_FILE_ENV,
@@ -45,15 +45,15 @@ class TestDecisionTrace:
     def _tally(self):
         trace = DecisionTrace({"policy": "x"})
         trace.record(
-            1.0, 0, "a", MigratePage(5, 1), Outcome(True, bytes_moved=4096)
+            1.0, 0, "a", MigratePages([5], [1]), Outcome(True, bytes_moved=4096)
         )
         trace.record(
-            2.0, 1, "b", MigratePage(6, 0), Outcome(False, reason="conflict")
+            2.0, 1, "b", MigratePages([6], [0]), Outcome(False, reason="conflict")
         )
         return trace
 
     def test_counts_by_kind(self):
-        assert self._tally().counts() == {"MigratePage": 2}
+        assert self._tally().counts() == {"MigratePages": 2}
 
     def test_render_mentions_applied_and_skipped(self):
         text = self._tally().render()
@@ -68,7 +68,9 @@ class TestDecisionTrace:
         header = json.loads(lines[0])
         assert header == {"trace": {"policy": "x"}}
         rec = json.loads(lines[1])
-        assert rec["decision"]["kind"] == "MigratePage"
+        assert rec["decision"]["kind"] == "MigratePages"
+        assert rec["decision"]["n_pages"] == 1
+        assert rec["decision"]["page_lo"] == rec["decision"]["page_hi"] == 5
         assert rec["applied"] is True and rec["bytes"] == 4096
         assert json.loads(lines[2])["reason"] == "conflict"
 

@@ -217,19 +217,19 @@ class TestMigration:
     def test_migrate_4k(self):
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(4, dtype=np.int8))
-        moved = asp.migrate_backing(2, 1)
+        moved = asp.migrate_backing([2], [1])[0]
         assert moved == 4096
         assert asp.home_nodes(np.array([2]))[0] == 1
 
     def test_migrate_4k_same_node_is_noop(self):
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(1, dtype=np.int8))
-        assert asp.migrate_backing(0, 0) == 0
+        assert asp.migrate_backing([0], [0])[0] == 0
 
     def test_migrate_2m(self):
         asp = make_asp()
         asp.premap_pattern_2m(0, np.array([0], dtype=np.int8))
-        moved = asp.migrate_backing(BACKING_ID_2M_OFFSET, 1)
+        moved = asp.migrate_backing([BACKING_ID_2M_OFFSET], [1])[0]
         assert moved == PAGE_2M
         assert asp.node_of_backing(BACKING_ID_2M_OFFSET) == 1
         asp.check_invariants()
@@ -237,20 +237,20 @@ class TestMigration:
     def test_migrate_unmapped_rejected(self):
         asp = make_asp()
         with pytest.raises(MappingError):
-            asp.migrate_backing(0, 1)
+            asp.migrate_backing([0], [1])
 
     def test_migrate_bad_node_rejected(self):
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(1, dtype=np.int8))
         with pytest.raises(MappingError):
-            asp.migrate_backing(0, 9)
+            asp.migrate_backing([0], [9])
 
     def test_migrate_full_destination_skipped(self):
         phys = PhysicalMemory([GIB, PAGE_2M])
         asp = AddressSpace(4 * GRANULES_PER_2M, phys)
         asp.premap_pattern_2m(0, np.array([0, 0], dtype=np.int8))
         phys[1].alloc_small(512)  # fill node 1 entirely
-        assert asp.migrate_backing(BACKING_ID_2M_OFFSET, 1) == 0
+        assert asp.migrate_backing([BACKING_ID_2M_OFFSET], [1])[0] == 0
 
     def test_migrate_granules_bulk(self):
         asp = make_asp()
@@ -304,7 +304,7 @@ class Test1GPages:
     def test_migrate_1g(self):
         asp = self.make_1g_asp()
         asp.map_range_1g(0, GRANULES_PER_1G, node=0)
-        moved = asp.migrate_backing(BACKING_ID_1G_OFFSET, 1)
+        moved = asp.migrate_backing([BACKING_ID_1G_OFFSET], [1])[0]
         assert moved == 1 << 30
         assert asp.node_of_backing(BACKING_ID_1G_OFFSET) == 1
 
@@ -349,7 +349,7 @@ class TestProperties:
                 g = chunk * GRANULES_PER_2M
                 ids, _ = asp.backing_info(np.array([g]))
                 if asp.backing_is_live(int(ids[0])):
-                    asp.migrate_backing(int(ids[0]), node)
+                    asp.migrate_backing([int(ids[0])], [node])
         asp.check_invariants()
         # Physical accounting matches the mapping.
         assert asp.phys.total_used_bytes == asp.mapped_bytes()

@@ -64,7 +64,7 @@ class TestReplicate4K:
         asp = make_asp()
         asp.premap_pattern_4k(0, np.zeros(1, dtype=np.int8))
         asp.replicate_backing(0)
-        assert asp.migrate_backing(0, 1) == 0
+        assert asp.migrate_backing([0], [1])[0] == 0
 
     def test_bulk_migration_skips_replicated(self):
         asp = make_asp()

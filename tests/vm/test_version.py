@@ -104,21 +104,21 @@ class TestVersionBumps:
         asp = make_asp()
         asp.fault_in(np.array([5]), node=0, thp_alloc=False)
         v = asp.version
-        assert asp.migrate_backing(5, 1) > 0
+        assert asp.migrate_backing([5], [1])[0] > 0
         assert asp.version > v
 
     def test_migrate_backing_2m_bumps(self):
         asp = make_asp()
         asp.fault_in(np.array([5]), node=0, thp_alloc=True)
         v = asp.version
-        assert asp.migrate_backing(BACKING_ID_2M_OFFSET + 0, 1) > 0
+        assert asp.migrate_backing([BACKING_ID_2M_OFFSET + 0], [1])[0] > 0
         assert asp.version > v
 
     def test_migrate_to_same_node_does_not_bump(self):
         asp = make_asp()
         asp.fault_in(np.array([5]), node=0, thp_alloc=False)
         v = asp.version
-        assert asp.migrate_backing(5, 0) == 0
+        assert asp.migrate_backing([5], [0])[0] == 0
         assert asp.version == v
 
     def test_migrate_granules_bumps(self):
@@ -200,7 +200,7 @@ class TestResolvedHomeMap:
         asp.home_nodes(g)
         asp.home_nodes(g)  # resolved map now built
         assert asp.home_nodes(g)[0] == 0
-        assert asp.migrate_backing(int(g[0]), 1) > 0
+        assert asp.migrate_backing([int(g[0])], [1])[0] > 0
         assert asp.home_nodes(g)[0] == 1
         assert asp.home_nodes(g)[0] == 1  # rebuilt map agrees
 
