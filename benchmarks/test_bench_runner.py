@@ -45,19 +45,17 @@ BENCH_GRID = [
 ]
 
 
-def _timed_run(
-    settings, jobs: int, cache_dir: pathlib.Path, backend: str = None
-) -> float:
+def _timed_run(settings, jobs: int, cache_dir: pathlib.Path) -> float:
     os.environ["REPRO_CACHE_DIR"] = str(cache_dir)
     clear_cache()
     # Each timed pass starts with cold stream banks, so the serial pass
     # cannot warm the parallel pass's fills and inflate the speedup.
     clear_stream_banks()
-    grid = GridRunner(settings, backend=backend)
+    grid = GridRunner(settings, jobs=jobs)
     for spec in BENCH_GRID:
         grid.add_spec(spec)
     start = time.perf_counter()
-    results = grid.run(jobs=jobs)
+    results = grid.run()
     elapsed = time.perf_counter() - start
     assert len(results) == len(BENCH_GRID)
     return elapsed
@@ -113,19 +111,17 @@ def _timed_invariant_overhead(settings, repeats: int = 3) -> dict:
 
 def test_bench_runner(settings, repro_jobs, tmp_path):
     old_cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    # The backend comes from the same auto-selection the runner uses,
-    # and the reason is recorded in the payload: a one-core box with no
-    # explicit REPRO_JOBS_BACKEND resolves to the serial loop (this
-    # grid previously recorded speedup_parallel 0.68 from a thread pool
-    # time-slicing a single core), in which case the parallel pass is
-    # honestly skipped rather than timed as a pessimization.
+    # ``jobs`` alone picks the pool, and is clamped to the core count:
+    # on a one-core box the parallel pass resolves to one job and is
+    # honestly skipped rather than timed as a pessimization.  The
+    # recorded backend and reason describe the runner's default choice.
     backend, backend_reason = backend_choice()
     jobs_requested = max(2, repro_jobs)
-    jobs = resolve_jobs(jobs_requested, backend)
+    jobs = resolve_jobs(jobs_requested)
     try:
         serial_s = _timed_run(settings, 1, tmp_path / "serial")
         parallel_s = (
-            _timed_run(settings, jobs, tmp_path / "parallel", backend)
+            _timed_run(settings, jobs, tmp_path / "parallel")
             if jobs > 1
             else None
         )
@@ -134,10 +130,10 @@ def test_bench_runner(settings, repro_jobs, tmp_path):
         clear_cache()
         os.environ["REPRO_CACHE_DIR"] = str(tmp_path / ("parallel" if jobs > 1 else "serial"))
         start = time.perf_counter()
-        grid = GridRunner(settings, backend=backend)
+        grid = GridRunner(settings, jobs=jobs)
         for spec in BENCH_GRID:
             grid.add_spec(spec)
-        warm = grid.run(jobs=jobs)
+        warm = grid.run()
         warm_s = time.perf_counter() - start
     finally:
         if old_cache_dir is None:

@@ -3,9 +3,29 @@
 from __future__ import annotations
 
 import hashlib
+import os
 from typing import Iterable
 
 import numpy as np
+
+
+_TRUE_VALUES = frozenset({"1", "true", "on", "yes"})
+_FALSE_VALUES = frozenset({"0", "false", "off", "no"})
+
+
+def env_flag(name: str, default: object) -> bool:
+    """A switch the environment variable ``name`` overrides both ways.
+
+    ``1``/``true``/``on``/``yes`` force it on and ``0``/``false``/
+    ``off``/``no`` force it off (case-insensitive); unset or any other
+    value leaves ``bool(default)``.
+    """
+    value = os.environ.get(name, "").strip().lower()
+    if value in _TRUE_VALUES:
+        return True
+    if value in _FALSE_VALUES:
+        return False
+    return bool(default)
 
 
 def stable_seed(*parts: object) -> int:

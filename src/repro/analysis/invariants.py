@@ -18,11 +18,11 @@ work; ``BENCH_runner.json`` tracks the measured overhead.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro._util import env_flag
 from repro.errors import SimulationError
 from repro.vm.layout import GRANULES_PER_2M, PAGE_4K, PageSize, SHIFT_1G, SHIFT_2M
 
@@ -35,9 +35,6 @@ CHECK_ENV = "REPRO_CHECK"
 #: runs it certifies.  The deep linter also protects this module by
 #: default, so deleting this declaration does not disable the check.
 _RESULT_NEUTRAL = ("analysis.invariants",)
-
-_TRUE_VALUES = frozenset({"1", "true", "on", "yes"})
-_FALSE_VALUES = frozenset({"0", "false", "off", "no"})
 
 #: Cumulative counter totals that must never decrease across epochs.
 _MONOTONIC_COUNTERS = (
@@ -107,12 +104,7 @@ def invariants_enabled(config: Optional[object] = None) -> bool:
     ``REPRO_CHECK`` wins in both directions when set; otherwise the
     (optional) config's ``check_invariants`` flag decides.
     """
-    env = os.environ.get(CHECK_ENV, "").strip().lower()
-    if env in _TRUE_VALUES:
-        return True
-    if env in _FALSE_VALUES:
-        return False
-    return bool(getattr(config, "check_invariants", False))
+    return env_flag(CHECK_ENV, getattr(config, "check_invariants", False))
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import List, Optional
 from repro.analysis.linter import Finding, format_findings, lint_paths
 from repro.experiments.cache import CACHE_ENABLE_ENV, ResultCache
 from repro.experiments.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.parallel import BACKEND_ENV, JOBS_ENV
+from repro.experiments.parallel import JOBS_ENV
 from repro.experiments.runner import RunSettings, run_benchmark
 from repro.sim.config import SimConfig
 from repro.workloads.registry import available_workloads
@@ -35,11 +35,9 @@ def _settings_from_args(args: argparse.Namespace) -> RunSettings:
     if args.quick:
         settings = RunSettings.quick(seed=args.seed)
     else:
-        settings = RunSettings(config=SimConfig(seed=args.seed), seed=args.seed)
+        settings = RunSettings(config=SimConfig(seed=args.seed))
     if args.scale is not None:
-        settings = RunSettings(
-            config=replace(settings.config, scale=args.scale), seed=args.seed
-        )
+        settings = RunSettings(config=replace(settings.config, scale=args.scale))
     return settings
 
 
@@ -51,8 +49,6 @@ def _apply_execution_flags(args: argparse.Namespace) -> None:
     """
     if getattr(args, "jobs", None) is not None:
         os.environ[JOBS_ENV] = str(args.jobs)
-    if getattr(args, "jobs_backend", None) is not None:
-        os.environ[BACKEND_ENV] = args.jobs_backend
     if getattr(args, "fresh", False):
         os.environ[CACHE_ENABLE_ENV] = "0"
 
@@ -66,18 +62,8 @@ def _add_run_options(cmd: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for independent runs"
-        " (default: REPRO_JOBS or cpu_count-1; 1 = serial)",
-    )
-    cmd.add_argument(
-        "--jobs-backend",
-        choices=["serial", "process", "auto"],
-        default=None,
-        metavar="BACKEND",
-        help="parallel executor: 'process' (pool of workers), 'serial'"
-        " (plain loop), or 'auto' (default: REPRO_JOBS_BACKEND or"
-        " auto; auto picks process on multi-core boxes and serial on"
-        " single-core ones)",
+        help="worker processes for independent runs; N > 1 runs a worker"
+        " pool (default: REPRO_JOBS or cpu_count-1; 1 = serial)",
     )
     cmd.add_argument(
         "--fresh",

@@ -140,10 +140,9 @@ def run_fingerprint(
 ) -> str:
     """SHA-256 hex key for one run, covering the *complete* config.
 
-    Every :class:`SimConfig` field participates — including
-    ``max_epochs``, ``khugepaged_batch``, ``ibs_cost_cycles`` and
-    ``track_access_stats``, which the old tuple key omitted — plus the
-    nested hardware cost models and a package version stamp.
+    Every :class:`SimConfig` field participates except the
+    result-neutral ones in its ``_CACHE_KEY_EXCLUDE``, the nested
+    hardware cost models included, plus a package version stamp.
     """
     identity = {
         "stamp": stamp if stamp is not None else version_stamp(),

@@ -25,10 +25,7 @@ from repro.core.carrefour import CarrefourConfig, CarrefourPolicy
 from repro.core.carrefour_lp import CarrefourLpPolicy
 from repro.core.reactive import ReactiveConfig
 from repro.experiments.reporting import Report
-from repro.experiments.runner import RunSettings, run_benchmark
-from repro.hardware.machines import machine_by_name
-from repro.sim.engine import Simulation
-from repro.workloads.registry import get_workload
+from repro.experiments.runner import RunSettings, build_simulation, run_benchmark
 
 _LWP_CASES = [("SSCA.20", "A"), ("pca", "B")]
 _LWP_POLICIES = ["thp", "carrefour-2m", "carrefour-lp", "carrefour-lp-lwp"]
@@ -111,14 +108,6 @@ def autonuma(settings: Optional[RunSettings] = None) -> Report:
     )
 
 
-def _run_custom(workload: str, machine: str, policy, settings: RunSettings):
-    topo = machine_by_name(machine)
-    instance = get_workload(workload).instantiate(
-        topo, settings.config.scale, settings.seed
-    )
-    return Simulation(topo, instance, policy, settings.config).run()
-
-
 def ablation_hot_threshold(settings: Optional[RunSettings] = None) -> Report:
     """Sweep the reactive component's hot-page threshold on CG.D."""
     settings = settings or RunSettings()
@@ -138,7 +127,7 @@ def ablation_hot_threshold(settings: Optional[RunSettings] = None) -> Report:
             seed=settings.seed,
             name=f"lp-hot-{threshold:g}",
         )
-        result = _run_custom("CG.D", "B", policy, settings)
+        result = build_simulation("CG.D", "B", policy, settings).run()
         m = result.metrics()
         entry = {
             "improvement": result.improvement_over(base),
@@ -184,7 +173,7 @@ def ablation_migration_budget(settings: Optional[RunSettings] = None) -> Report:
             seed=settings.seed,
             name=f"carrefour-2m-{budget_mb}mb",
         )
-        result = _run_custom("pca", "B", policy, settings)
+        result = build_simulation("pca", "B", policy, settings).run()
         m = result.metrics()
         entry = {
             "improvement": result.improvement_over(base),

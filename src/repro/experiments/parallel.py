@@ -7,20 +7,11 @@ experiment batch, deduplicates it (figures share their Linux/THP
 baselines), answers what it can from the two cache layers, and fans
 the misses out over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
-Two backends exist (``REPRO_JOBS_BACKEND`` or the ``backend``
-argument): ``process`` fans misses out over a
-``ProcessPoolExecutor``; ``serial`` runs them in a plain in-process
-loop.  The default (``auto``) picks ``process`` on multi-core boxes
-and ``serial`` on single-core ones, where a pool can only time-slice
-one core.  :func:`backend_choice` returns the resolved backend
-together with a human-readable reason, which the benchmarks record as
-``backend_reason``.
-
-Worker count resolution, in priority order: explicit ``jobs``
-argument, the ``REPRO_JOBS`` environment variable, then
-``os.cpu_count() - 1`` (at least 1; always 1 for serial).
-``jobs=1`` — and any platform where a process pool cannot be built (no
-``fork``, sandboxed semaphores) — degrades to an in-process serial
+``jobs`` is the only parallelism setting: explicit argument, then the
+``REPRO_JOBS`` environment variable, then ``os.cpu_count() - 1``,
+clamped to ``[1, os.cpu_count()]``.  ``jobs > 1`` runs the misses in a
+worker pool; ``jobs = 1`` — and any platform where a pool cannot be
+built (no ``fork``, sandboxed semaphores) — runs them in an in-process
 loop with identical results, since every run is deterministic.
 """
 
@@ -31,18 +22,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments import runner as _runner
-from repro.experiments.cache import ResultCache, cache_enabled
 from repro.experiments.runner import RunSettings
 from repro.sim.results import SimulationResult
 
 #: Environment variable selecting the default worker count.
 JOBS_ENV = "REPRO_JOBS"
-
-#: Environment variable selecting the executor backend
-#: (``serial`` | ``process`` | ``auto``).
-BACKEND_ENV = "REPRO_JOBS_BACKEND"
-
-_BACKENDS = ("serial", "process", "auto")
 
 
 @dataclass(frozen=True)
@@ -60,58 +44,14 @@ class RunSpec:
         return f"{self.workload}@{self.machine}/{self.policy}{suffix}"
 
 
-def backend_choice(backend: Optional[str] = None) -> Tuple[str, str]:
-    """Resolved executor backend plus the reason it was chosen.
-
-    Resolution order: explicit arg > ``REPRO_JOBS_BACKEND`` > auto.
-    ``auto`` resolves to ``process`` on multi-core machines and to
-    ``serial`` on single-core ones, where a pool cannot overlap
-    anything.  The reason string is what the benchmarks record as
-    ``backend_reason``.
-    """
-    if backend is not None:
-        source = "explicit"
-    else:
-        env = os.environ.get(BACKEND_ENV, "").strip().lower()
-        if env:
-            backend, source = env, f"env {BACKEND_ENV}"
-        else:
-            backend, source = "auto", "default"
-    backend = backend.lower()
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown jobs backend {backend!r}; expected one of {_BACKENDS}"
-        )
-    if backend != "auto":
-        return backend, f"{source}: {backend}"
-    cpus = os.cpu_count() or 1
-    if cpus > 1:
-        return "process", f"{source}: auto, cpu_count={cpus} -> process"
-    return (
-        "serial",
-        f"{source}: auto, cpu_count=1 -> serial "
-        "(a pool pessimizes on one core)",
-    )
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Executor backend name alone (see :func:`backend_choice`)."""
-    return backend_choice(backend)[0]
-
-
-def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> int:
+def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit arg > ``REPRO_JOBS`` > cpu_count - 1.
 
-    The serial backend always resolves to 1 — that is its meaning, and
-    it is what ``auto`` picks on single-core boxes (see
-    :func:`backend_choice`).  The process backend is clamped to
-    ``os.cpu_count()``: its workers are CPU-bound, so oversubscribing
-    cores only adds scheduler churn (and benchmark numbers taken that
-    way report meaningless "parallel" speedups).
+    Clamped to ``os.cpu_count()``: workers are CPU-bound, so
+    oversubscribing cores only adds scheduler churn (and benchmark
+    numbers taken that way report meaningless "parallel" speedups).
+    One core therefore always resolves to one job.
     """
-    resolved_backend = resolve_backend(backend)
-    if resolved_backend == "serial":
-        return 1
     if jobs is None:
         env = os.environ.get(JOBS_ENV, "").strip()
         if env:
@@ -123,6 +63,18 @@ def resolve_jobs(jobs: Optional[int] = None, backend: Optional[str] = None) -> i
     if jobs is None:
         jobs = cpus - 1
     return max(1, min(int(jobs), cpus))
+
+
+def backend_choice() -> Tuple[str, str]:
+    """How a grid runs by default (``process`` or ``serial``), and why.
+
+    Derived from :func:`resolve_jobs` alone: ``process`` exactly when it
+    resolves to more than one job.  The reason string is what the
+    benchmarks record as ``backend_reason``.
+    """
+    jobs = resolve_jobs()
+    backend = "process" if jobs > 1 else "serial"
+    return backend, f"jobs={jobs}, cpu_count={os.cpu_count() or 1} -> {backend}"
 
 
 def _pool_execute(
@@ -152,14 +104,10 @@ class GridRunner:
     """
 
     def __init__(
-        self,
-        settings: Optional[RunSettings] = None,
-        jobs: Optional[int] = None,
-        backend: Optional[str] = None,
+        self, settings: Optional[RunSettings] = None, jobs: Optional[int] = None
     ) -> None:
         self.settings = settings or RunSettings()
         self.jobs = jobs
-        self.backend = backend
         self._specs: List[RunSpec] = []
         self._seen: set = set()
 
@@ -212,37 +160,18 @@ class GridRunner:
         """Split the grid into (cache hits, misses to execute)."""
         hits: Dict[RunSpec, SimulationResult] = {}
         misses: List[RunSpec] = []
-        settings = self.settings
-        store = ResultCache.default() if cache_enabled() else None
         for spec in self._specs:
-            machine = _runner.canonical_machine(spec.machine)
-            key = settings.cache_key(
-                spec.workload, machine, spec.policy, spec.backing_1g
+            cached = _runner.lookup(
+                spec.workload,
+                _runner.canonical_machine(spec.machine),
+                spec.policy,
+                self.settings,
+                spec.backing_1g,
             )
-            with _runner._MEMO_LOCK:
-                memoised = _runner._CACHE.get(key)
-            if memoised is not None:
-                hits[spec] = memoised
-                continue
-            if store is not None:
-                cached = store.get(
-                    settings.fingerprint(
-                        spec.workload, machine, spec.policy, spec.backing_1g
-                    )
-                )
-                if cached is not None:
-                    hits[spec] = cached
-                    _runner.store_result(
-                        spec.workload,
-                        machine,
-                        spec.policy,
-                        settings,
-                        spec.backing_1g,
-                        cached,
-                        persist=False,
-                    )
-                    continue
-            misses.append(spec)
+            if cached is None:
+                misses.append(spec)
+            else:
+                hits[spec] = cached
         return hits, misses
 
     def _run_serial(self, misses: List[RunSpec]) -> Dict[RunSpec, SimulationResult]:
@@ -277,27 +206,23 @@ class GridRunner:
         return results
 
     def run(
-        self,
-        jobs: Optional[int] = None,
-        use_cache: bool = True,
-        backend: Optional[str] = None,
+        self, jobs: Optional[int] = None, use_cache: bool = True
     ) -> Dict[RunSpec, SimulationResult]:
         """Execute the grid; returns ``{spec: result}`` in grid order.
 
-        Cached specs are answered without work.  Fresh results are
-        installed into both cache layers so later ``run_benchmark``
-        calls (the experiment drivers' inner loops) are pure hits.
+        Cached specs are answered without work.  The misses run in a
+        worker pool when ``jobs`` resolves to more than one, else in
+        this process.  Fresh results are installed into both cache
+        layers so later ``run_benchmark`` calls (the experiment
+        drivers' inner loops) are pure hits.
         """
         if use_cache:
             hits, misses = self._partition()
         else:
             hits, misses = {}, list(self._specs)
-        backend_name = resolve_backend(
-            backend if backend is not None else self.backend
-        )
-        n_jobs = resolve_jobs(self.jobs if jobs is None else jobs, backend_name)
+        n_jobs = resolve_jobs(self.jobs if jobs is None else jobs)
         if misses:
-            if n_jobs <= 1 or len(misses) <= 1:
+            if n_jobs <= 1:
                 fresh = self._run_serial(misses)
             else:
                 try:
@@ -323,7 +248,6 @@ def prefetch(
     specs: Iterable[RunSpec],
     settings: Optional[RunSettings] = None,
     jobs: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[RunSpec, SimulationResult]:
     """Warm both cache layers for a batch of runs, in parallel.
 
@@ -332,11 +256,9 @@ def prefetch(
     it is a no-op and the driver's own ``run_benchmark`` calls do the
     work exactly as before.
     """
-    grid = GridRunner(settings, jobs=jobs, backend=backend)
+    grid = GridRunner(settings, jobs=jobs)
     for spec in specs:
         grid.add_spec(spec)
-    if not grid.specs:
-        return {}
-    if resolve_jobs(jobs if jobs is not None else grid.jobs, backend) <= 1:
+    if not grid.specs or resolve_jobs(jobs) <= 1:
         return {}
     return grid.run()

@@ -25,26 +25,44 @@ from repro.experiments.cache import (
     normalized_config,
     run_fingerprint,
 )
+from repro.errors import ConfigurationError
+from repro.experiments.configs import make_policy
 from repro.hardware.machines import machine_by_name
 from repro.hardware.topology import NumaTopology
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
+from repro.sim.policy import PlacementPolicy
 from repro.sim.results import SimulationResult
-from repro.experiments.configs import make_policy
 from repro.workloads.registry import get_workload
 
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Knobs shared by all runs of one experiment batch."""
+    """Knobs shared by all runs of one experiment batch.
+
+    ``config.seed`` is the one seed of a run: it instantiates the
+    workload and the policy and draws the access streams.  ``seed``
+    mirrors it; omitted, it is taken from the config, and a value that
+    disagrees with ``config.seed`` raises :class:`ConfigurationError`.
+    """
 
     config: SimConfig = field(default_factory=SimConfig)
-    seed: int = 0
+    seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.seed is None:
+            object.__setattr__(self, "seed", self.config.seed)
+        elif self.seed != self.config.seed:
+            raise ConfigurationError(
+                f"RunSettings seed={self.seed} disagrees with"
+                f" config.seed={self.config.seed}; config.seed is the"
+                " run's one seed"
+            )
 
     @classmethod
     def quick(cls, seed: int = 0) -> "RunSettings":
         """Reduced-cost settings for tests/benchmarks."""
-        return cls(config=SimConfig.quick(seed=seed), seed=seed)
+        return cls(config=SimConfig.quick(seed=seed))
 
     def cache_key(
         self, workload: str, machine: str, policy: str, backing_1g: bool
@@ -54,10 +72,10 @@ class RunSettings:
         The whole (hashable, frozen) :class:`SimConfig` participates, so
         configs differing in *any* field — including ``max_epochs``,
         ``khugepaged_batch``, ``ibs_cost_cycles`` or
-        ``track_access_stats``, which an earlier tuple key dropped —
-        can never collide.  Result-neutral fields named in the config's
-        ``_CACHE_KEY_EXCLUDE`` (``check_invariants``) are normalised
-        away so runs with and without checking share one entry.
+        ``track_access_stats`` — can never collide.  The result-neutral
+        fields named in the config's ``_CACHE_KEY_EXCLUDE``
+        (``check_invariants``, ``profile`` and ``trace``) are
+        normalised away so runs with and without them share one entry.
         """
         return (
             workload,
@@ -96,6 +114,29 @@ def canonical_machine(machine: Union[str, NumaTopology]) -> str:
     return machine_by_name(machine).name
 
 
+def build_simulation(
+    workload: str,
+    machine: Union[str, NumaTopology],
+    policy: PlacementPolicy,
+    settings: RunSettings,
+    backing_1g: bool = False,
+) -> Simulation:
+    """The one place a run's :class:`Simulation` is assembled.
+
+    ``policy`` is a policy object (see
+    :func:`~repro.experiments.configs.make_policy`); the workload is
+    instantiated on ``machine`` at the settings' scale and seed, and
+    ``backing_1g`` backs it with 1GB hugetlbfs-style pages.
+    """
+    topo = machine_by_name(machine) if isinstance(machine, str) else machine
+    instance = get_workload(workload).instantiate(
+        topo, settings.config.scale, settings.seed
+    )
+    if backing_1g:
+        instance = instance.with_1g_backing()
+    return Simulation(topo, instance, policy, config=settings.config)
+
+
 def execute_run(
     workload: str,
     machine: Union[str, NumaTopology],
@@ -108,18 +149,38 @@ def execute_run(
     This is the raw unit of work the parallel pool workers execute;
     everything it touches (settings in, result out) is picklable.
     """
-    topo = machine_by_name(machine) if isinstance(machine, str) else machine
-    wl = get_workload(workload)
-    instance = wl.instantiate(topo, settings.config.scale, settings.seed)
-    if backing_1g:
-        instance = instance.with_1g_backing()
-    sim = Simulation(
-        topo,
-        instance,
+    return build_simulation(
+        workload,
+        machine,
         make_policy(policy, seed=settings.seed),
-        config=settings.config,
-    )
-    return sim.run()
+        settings,
+        backing_1g,
+    ).run()
+
+
+def lookup(
+    workload: str,
+    machine: str,
+    policy: str,
+    settings: RunSettings,
+    backing_1g: bool,
+) -> Optional[SimulationResult]:
+    """A finished run from the memo, else from the disk store, else None.
+
+    A disk hit is installed in the memo (and not written back to disk),
+    so every later lookup of the run in this process is a memo hit.
+    """
+    key = settings.cache_key(workload, machine, policy, backing_1g)
+    with _MEMO_LOCK:
+        result = _CACHE.get(key)
+    if result is None and cache_enabled():
+        result = ResultCache.default().get(
+            settings.fingerprint(workload, machine, policy, backing_1g)
+        )
+        if result is not None:
+            with _MEMO_LOCK:
+                _CACHE[key] = result
+    return result
 
 
 def store_result(
@@ -129,13 +190,12 @@ def store_result(
     settings: RunSettings,
     backing_1g: bool,
     result: SimulationResult,
-    persist: bool = True,
 ) -> None:
-    """Install a finished run into the memo (and optionally on disk)."""
+    """Install a freshly simulated run into the memo and on disk."""
     key = settings.cache_key(workload, machine, policy, backing_1g)
     with _MEMO_LOCK:
         _CACHE[key] = result
-    if persist and cache_enabled():
+    if cache_enabled():
         ResultCache.default().put(
             settings.fingerprint(workload, machine, policy, backing_1g), result
         )
@@ -153,31 +213,18 @@ def run_benchmark(
 
     ``backing_1g`` backs the workload with 1GB hugetlbfs-style pages
     (Section 4.4); it composes with any policy.  With ``use_cache``
-    (the default) the in-process memo is consulted first, then the
-    persistent on-disk cache; ``use_cache=False`` bypasses and
-    populates neither.
+    (the default) the run is answered by :func:`lookup` when it can be
+    and stored in both layers when it is simulated;
+    ``use_cache=False`` bypasses and populates neither.
     """
     settings = settings or RunSettings()
     topo = machine_by_name(machine) if isinstance(machine, str) else machine
     if not use_cache:
         return execute_run(workload, topo, policy, settings, backing_1g)
-    key = settings.cache_key(workload, topo.name, policy, backing_1g)
-    with _MEMO_LOCK:
-        cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = None
-    if cache_enabled():
-        result = ResultCache.default().get(
-            settings.fingerprint(workload, topo.name, policy, backing_1g)
-        )
-    hit = result is not None
+    result = lookup(workload, topo.name, policy, settings, backing_1g)
     if result is None:
         result = execute_run(workload, topo, policy, settings, backing_1g)
-    store_result(
-        workload, topo.name, policy, settings, backing_1g, result,
-        persist=not hit,
-    )
+        store_result(workload, topo.name, policy, settings, backing_1g, result)
     return result
 
 

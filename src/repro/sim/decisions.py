@@ -37,7 +37,7 @@ against the executor:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Generator, Optional, Tuple
 
 import numpy as np
@@ -97,8 +97,16 @@ class Decision:
         return ()
 
     def payload(self) -> dict:
-        """JSON-able trace record body for this decision."""
-        return {"kind": type(self).__name__}
+        """JSON-able trace record body for this decision.
+
+        The class name as ``kind``, then every dataclass field in
+        declaration order; decisions carrying arrays override this
+        with a summary of them.
+        """
+        out = {"kind": type(self).__name__}
+        for f in fields(self):
+            out[f.name] = getattr(self, f.name)
+        return out
 
 
 @dataclass(frozen=True)
@@ -110,9 +118,6 @@ class ChargeCompute(Decision):
 
     seconds: float
 
-    def payload(self) -> dict:
-        return {"kind": "ChargeCompute", "seconds": self.seconds}
-
 
 @dataclass(frozen=True)
 class Note(Decision):
@@ -122,9 +127,6 @@ class Note(Decision):
     counters: ClassVar[Tuple[str, ...]] = ("notes", "notes_dropped")
 
     text: str
-
-    def payload(self) -> dict:
-        return {"kind": "Note", "text": self.text}
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,13 +244,6 @@ class Split2M(Decision):
     def targets(self) -> Tuple[Target, ...]:
         return (("page", self.page_id),)
 
-    def payload(self) -> dict:
-        return {
-            "kind": "Split2M",
-            "page_id": self.page_id,
-            "block_collapse": self.block_collapse,
-        }
-
 
 @dataclass(frozen=True)
 class Split1G(Decision):
@@ -262,13 +257,6 @@ class Split1G(Decision):
 
     def targets(self) -> Tuple[Target, ...]:
         return (("page", self.page_id),)
-
-    def payload(self) -> dict:
-        return {
-            "kind": "Split1G",
-            "page_id": self.page_id,
-            "block_collapse": self.block_collapse,
-        }
 
 
 @dataclass(frozen=True)
@@ -287,9 +275,6 @@ class Collapse2M(Decision):
 
         return (("page", self.chunk + BACKING_ID_2M_OFFSET),)
 
-    def payload(self) -> dict:
-        return {"kind": "Collapse2M", "chunk": self.chunk, "node": self.node}
-
 
 @dataclass(frozen=True)
 class ToggleThpAlloc(Decision):
@@ -301,9 +286,6 @@ class ToggleThpAlloc(Decision):
 
     def targets(self) -> Tuple[Target, ...]:
         return (("thp", "alloc"),)
-
-    def payload(self) -> dict:
-        return {"kind": "ToggleThpAlloc", "enabled": self.enabled}
 
 
 @dataclass(frozen=True)
@@ -317,9 +299,6 @@ class ToggleThpPromotion(Decision):
     def targets(self) -> Tuple[Target, ...]:
         return (("thp", "promotion"),)
 
-    def payload(self) -> dict:
-        return {"kind": "ToggleThpPromotion", "enabled": self.enabled}
-
 
 @dataclass(frozen=True)
 class ClearCollapseBlocks(Decision):
@@ -329,9 +308,6 @@ class ClearCollapseBlocks(Decision):
 
     def targets(self) -> Tuple[Target, ...]:
         return (("thp", "collapse_blocks"),)
-
-    def payload(self) -> dict:
-        return {"kind": "ClearCollapseBlocks"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,9 +365,6 @@ class ReplicatePage(Decision):
     def targets(self) -> Tuple[Target, ...]:
         return (("page", self.page_id),)
 
-    def payload(self) -> dict:
-        return {"kind": "ReplicatePage", "page_id": self.page_id}
-
 
 @dataclass(frozen=True)
 class ReplicatePageTables(Decision):
@@ -405,6 +378,3 @@ class ReplicatePageTables(Decision):
 
     def targets(self) -> Tuple[Target, ...]:
         return (("pt", "replication"),)
-
-    def payload(self) -> dict:
-        return {"kind": "ReplicatePageTables"}

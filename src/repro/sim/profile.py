@@ -38,6 +38,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro._util import env_flag
+
 #: Environment variable enabling (``1``) or force-disabling (``0``) the
 #: profiler regardless of :attr:`SimConfig.profile`.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -62,9 +64,6 @@ PHASES = (
     "other",
 )
 
-_TRUE_VALUES = frozenset({"1", "true", "on", "yes"})
-_FALSE_VALUES = frozenset({"0", "false", "off", "no"})
-
 
 def profile_enabled(config: Optional[object] = None) -> bool:
     """Whether per-phase profiling is on for a run.
@@ -72,14 +71,7 @@ def profile_enabled(config: Optional[object] = None) -> bool:
     ``REPRO_PROFILE`` wins in both directions when set; otherwise the
     (optional) config's ``profile`` flag decides.
     """
-    import os
-
-    env = os.environ.get(PROFILE_ENV, "").strip().lower()
-    if env in _TRUE_VALUES:
-        return True
-    if env in _FALSE_VALUES:
-        return False
-    return bool(getattr(config, "profile", False))
+    return env_flag(PROFILE_ENV, getattr(config, "profile", False))
 
 
 class PhaseTimer:
@@ -180,20 +172,19 @@ def run_profiled(
     import dataclasses
 
     from repro.experiments.configs import make_policy
-    from repro.experiments.runner import RunSettings
-    from repro.hardware.machines import machine_by_name
-    from repro.sim.engine import Simulation
-    from repro.workloads.registry import get_workload
+    from repro.experiments.runner import RunSettings, build_simulation
 
     if settings is None:
         settings = RunSettings()
-    config = dataclasses.replace(settings.config, profile=True)
-    topo = machine_by_name(machine) if isinstance(machine, str) else machine
-    instance = get_workload(workload).instantiate(topo, config.scale, settings.seed)
-    if backing_1g:
-        instance = instance.with_1g_backing()
-    sim = Simulation(
-        topo, instance, make_policy(policy, seed=settings.seed), config=config
+    settings = dataclasses.replace(
+        settings, config=dataclasses.replace(settings.config, profile=True)
+    )
+    sim = build_simulation(
+        workload,
+        machine,
+        make_policy(policy, seed=settings.seed),
+        settings,
+        backing_1g,
     )
     if sim.profiler is None:  # REPRO_PROFILE=0 in the environment
         sim.profiler = PhaseTimer()

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
+from repro._util import env_flag
+
 #: Environment variable enabling (``1``) or force-disabling (``0``) the
 #: trace regardless of :attr:`SimConfig.trace`.
 TRACE_ENV = "REPRO_TRACE"
@@ -33,9 +35,6 @@ TRACE_FILE_ENV = "REPRO_TRACE_FILE"
 #: and must have no transitive write effect on simulation state.
 _RESULT_NEUTRAL = ("sim.trace",)
 
-_TRUE_VALUES = frozenset({"1", "true", "on", "yes"})
-_FALSE_VALUES = frozenset({"0", "false", "off", "no"})
-
 
 def trace_enabled(config: Optional[object] = None) -> bool:
     """Whether decision tracing is on for a run.
@@ -43,14 +42,7 @@ def trace_enabled(config: Optional[object] = None) -> bool:
     ``REPRO_TRACE`` wins in both directions when set; otherwise the
     (optional) config's ``trace`` flag decides.
     """
-    import os
-
-    env = os.environ.get(TRACE_ENV, "").strip().lower()
-    if env in _TRUE_VALUES:
-        return True
-    if env in _FALSE_VALUES:
-        return False
-    return bool(getattr(config, "trace", False))
+    return env_flag(TRACE_ENV, getattr(config, "trace", False))
 
 
 class DecisionTrace:
@@ -141,26 +133,25 @@ def run_traced(
     import dataclasses
 
     from repro.experiments.configs import make_policy
-    from repro.experiments.runner import RunSettings
-    from repro.hardware.machines import machine_by_name
-    from repro.sim.engine import Simulation
-    from repro.workloads.registry import get_workload
+    from repro.experiments.runner import RunSettings, build_simulation
 
     if settings is None:
         settings = RunSettings()
-    config = dataclasses.replace(settings.config, trace=True)
-    topo = machine_by_name(machine) if isinstance(machine, str) else machine
-    instance = get_workload(workload).instantiate(topo, config.scale, settings.seed)
-    if backing_1g:
-        instance = instance.with_1g_backing()
-    sim = Simulation(
-        topo, instance, make_policy(policy, seed=settings.seed), config=config
+    settings = dataclasses.replace(
+        settings, config=dataclasses.replace(settings.config, trace=True)
+    )
+    sim = build_simulation(
+        workload,
+        machine,
+        make_policy(policy, seed=settings.seed),
+        settings,
+        backing_1g,
     )
     if sim.tracer is None:  # REPRO_TRACE=0 in the environment
         sim.tracer = DecisionTrace(
             {
-                "workload": instance.name,
-                "machine": topo.name,
+                "workload": sim.instance.name,
+                "machine": sim.machine.name,
                 "policy": sim.policy.name,
                 "seed": settings.seed,
             }

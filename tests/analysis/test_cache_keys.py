@@ -38,7 +38,7 @@ def test_r001_catches_an_injected_field():
     vacuously; this one would fail.
     """
     source = RUNNER_SRC.read_text(encoding="utf-8")
-    anchor = "    seed: int = 0\n"
+    anchor = "    seed: Optional[int] = None\n"
     assert anchor in source, "RunSettings layout changed; update this test"
     mutated = source.replace(anchor, anchor + "    extra_knob: int = 0\n", 1)
     findings = lint_source(mutated, str(RUNNER_SRC), rules=rules_by_id("R001"))

@@ -9,13 +9,11 @@ import pytest
 from repro.experiments import runner as runner_mod
 from repro.experiments.cache import CACHE_DIR_ENV
 from repro.experiments.parallel import (
-    BACKEND_ENV,
     JOBS_ENV,
     GridRunner,
     RunSpec,
-    prefetch,
     backend_choice,
-    resolve_backend,
+    prefetch,
     resolve_jobs,
 )
 from repro.experiments.runner import (
@@ -86,96 +84,70 @@ class TestResolveJobs:
 
     def test_cpu_count_unknown(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV, raising=False)
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        # Unknown cpu count counts as one core: auto resolves to the
-        # serial backend (a pool pessimizes there), so any jobs request
-        # collapses to 1; the process backend still clamps to one.
+        # Unknown cpu count counts as one core, so any request is one job.
         assert resolve_jobs(4) == 1
-        assert resolve_jobs(4, backend="process") == 1
+        assert resolve_jobs() == 1
 
-
-class TestResolveBackend:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        assert resolve_backend("serial") == "serial"
-
-    def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "serial")
-        assert resolve_backend() == "serial"
-        monkeypatch.setenv(BACKEND_ENV, "PROCESS")
-        assert resolve_backend() == "process"
-
-    def test_auto_follows_core_count(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert resolve_backend() == "process"
-        # One core: a pool cannot overlap anything, so auto falls
-        # back to a plain serial loop unless process is explicit.
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert resolve_backend() == "serial"
-        assert resolve_backend("process") == "process"
-
-    def test_backend_choice_reports_reason(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        backend, reason = backend_choice()
-        assert backend == "serial"
-        assert "cpu_count=1" in reason and "serial" in reason
-        backend, reason = backend_choice("process")
-        assert backend == "process"
-        assert reason.startswith("explicit")
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        backend, reason = backend_choice()
-        assert backend == "process"
-        assert BACKEND_ENV in reason
-
-    def test_serial_backend_resolves_one_job(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "8")
-        assert resolve_jobs(backend="serial") == 1
-        assert resolve_jobs(16, backend="serial") == 1
-
-    def test_process_backend_clamps_to_cpus(self, monkeypatch):
+    def test_default_leaves_one_core_free(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert resolve_jobs(16, backend="process") == 4
-        assert resolve_jobs(None, backend="process") == 3
-
-    def test_process_backend_has_no_floor(self, monkeypatch):
-        """One core means one worker: no backend oversubscribes it."""
-        monkeypatch.delenv(JOBS_ENV, raising=False)
+        assert resolve_jobs() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert resolve_jobs(None, backend="process") == 1
-        assert resolve_jobs(8, backend="process") == 1
+        assert resolve_jobs() == 1
 
-    @pytest.mark.parametrize("name", ["fibers", "thread"])
-    def test_unknown_backend_rejected(self, name, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        with pytest.raises(ValueError, match="serial.*process.*auto"):
-            resolve_backend(name)
-        with pytest.raises(ValueError, match="serial.*process.*auto"):
-            resolve_jobs(2, backend=name)
 
-    def test_env_thread_backend_rejected(self, monkeypatch):
-        """The retired in-process thread backend is not a valid value."""
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        with pytest.raises(ValueError, match="'thread'.*serial.*process.*auto"):
-            backend_choice()
-        with pytest.raises(ValueError, match="serial.*process.*auto"):
-            GridRunner(RunSettings.quick()).add_spec(GRID[0]).run()
+class TestBackendChoice:
+    """``jobs`` alone decides between the worker pool and the loop."""
 
-    def test_cli_thread_backend_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "cpus, env, expected",
+        [
+            (1, None, "serial"),
+            (1, "8", "serial"),
+            (2, None, "serial"),
+            (2, "2", "process"),
+            (4, None, "process"),
+            (4, "1", "serial"),
+            (None, "4", "serial"),
+        ],
+    )
+    def test_process_iff_more_than_one_job(
+        self, cpus, env, expected, monkeypatch
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if env is None:
+            monkeypatch.delenv(JOBS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(JOBS_ENV, env)
+        backend, _ = backend_choice()
+        assert backend == expected
+        assert (backend == "process") == (resolve_jobs() > 1)
+
+    def test_reason_names_jobs_and_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv(JOBS_ENV, "2")
+        backend, reason = backend_choice()
+        assert backend == "process"
+        assert "jobs=2" in reason and "cpu_count=4" in reason
+
+    def test_retired_backend_env_is_ignored(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv(JOBS_ENV, "1")
+        monkeypatch.setenv(f"{JOBS_ENV}_BACKEND", "process")
+        assert backend_choice()[0] == "serial"
+
+    @pytest.mark.parametrize("value", ["serial", "process", "thread"])
+    def test_cli_rejects_backend_flag(self, value, capsys):
         from repro.cli import build_parser
 
+        # The retired flag, built from parts so its name is nowhere in
+        # the tree.
+        flag = "--jobs" + "-backend"
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(
-                ["figure1", "--quick", "--jobs-backend", "thread"]
-            )
+            build_parser().parse_args(["figure1", "--quick", flag, value])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'thread'" in err
-        for name in ("serial", "process", "auto"):
-            assert f"'{name}'" in err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGridAssembly:
@@ -244,7 +216,7 @@ class TestGridExecution:
             )
             assert _signature(cached) == _signature(serial[spec]), spec
 
-    def test_process_backend_matches_serial(self, fresh_env, monkeypatch):
+    def test_pool_matches_serial(self, fresh_env, monkeypatch):
         """Forked pool workers are bit-identical to the serial loop."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         settings = RunSettings.quick()
@@ -255,7 +227,7 @@ class TestGridExecution:
             for spec in GRID
         }
         clear_cache()
-        grid = GridRunner(settings, backend="process")
+        grid = GridRunner(settings)
         for spec in GRID:
             grid.add_spec(spec)
         pooled = grid.run(jobs=2)

@@ -18,10 +18,13 @@ from repro.experiments.configs import (
 from repro.sim.policy import PolicyStack
 from repro.experiments.runner import (
     RunSettings,
+    build_simulation,
     clear_cache,
+    execute_run,
     improvement,
     run_benchmark,
 )
+from repro.sim.config import SimConfig
 from repro.sim.policy import LinuxPolicy
 
 
@@ -173,3 +176,61 @@ class TestRunner:
         clear_cache()
         b = run_benchmark("Kmeans", "A", "linux-4k", quick_settings)
         assert a is not b
+
+
+class TestOneSeed:
+    """``config.seed`` is a run's one seed; ``RunSettings.seed`` mirrors it."""
+
+    def test_omitted_seed_follows_config(self):
+        assert RunSettings(config=SimConfig.quick(seed=5)).seed == 5
+        assert RunSettings().seed == 0
+
+    def test_agreeing_seed_accepted(self):
+        settings = RunSettings(config=SimConfig.quick(seed=3), seed=3)
+        assert settings == RunSettings(config=SimConfig.quick(seed=3))
+
+    def test_disagreeing_seed_rejected(self):
+        # The default config's seed is 0: seed=5 used to build the
+        # workload and policy with 5 but draw the streams with 0.
+        with pytest.raises(ConfigurationError, match="config.seed=0"):
+            RunSettings(seed=5)
+        with pytest.raises(ConfigurationError):
+            RunSettings(config=SimConfig.quick(seed=2014), seed=0)
+
+    def test_quick_seeds_the_config(self):
+        settings = RunSettings.quick(seed=7)
+        assert settings.seed == settings.config.seed == 7
+
+    def test_workload_and_streams_share_the_seed(self):
+        settings = RunSettings.quick(seed=5)
+        sim = build_simulation(
+            "Kmeans", "A", make_policy("thp", seed=settings.seed), settings
+        )
+        assert sim.instance.seed == sim.config.seed == 5
+
+
+class TestBuildSimulation:
+    def test_entry_points_agree(self, quick_settings):
+        """The cached path, the profiler and the tracer build one run."""
+        from repro.sim.profile import run_profiled
+        from repro.sim.trace import run_traced
+
+        args = ("Kmeans", "A", "carrefour-2m", quick_settings)
+        plain = execute_run(*args)
+        profiled, _ = run_profiled(*args)
+        traced, trace = run_traced(*args)
+        assert trace.records
+        for other in (profiled, traced):
+            assert other.runtime_s == plain.runtime_s
+            assert other.epoch_times_s == plain.epoch_times_s
+            assert other.metrics() == plain.metrics()
+
+    def test_backing_1g(self, quick_settings):
+        policy = make_policy("linux-4k")
+        plain = build_simulation("Kmeans", "A", policy, quick_settings)
+        huge = build_simulation(
+            "Kmeans", "A", policy, quick_settings, backing_1g=True
+        )
+        assert not plain.instance.backing_1g
+        assert huge.instance.backing_1g
+        assert huge.policy is policy

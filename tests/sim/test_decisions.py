@@ -10,13 +10,19 @@ from repro.hardware.counters import CounterBank
 from repro.hardware.ibs import IbsSamples
 from repro.sim.decisions import (
     ChargeCompute,
+    ClearCollapseBlocks,
+    Collapse2M,
+    InterleaveRegion,
     MigratePages,
     Note,
     Outcome,
     ReclaimPages,
+    ReplicatePage,
     ReplicatePageTables,
+    Split1G,
     Split2M,
     ToggleThpAlloc,
+    ToggleThpPromotion,
 )
 from repro.sim.engine import ActionExecutor, PageTableState, apply_decisions
 from repro.sim.policy import PlacementPolicy, PolicyActionSummary, PolicyStack
@@ -562,3 +568,81 @@ class TestDecisionMetadata:
         executor = ActionExecutor(host)
         with pytest.raises(SimulationError, match="unknown decision type"):
             executor.drive(gen_of(Rogue()), PolicyActionSummary())
+
+
+class TestPayload:
+    """Every kind's trace record body, pinned key by key and in order."""
+
+    CASES = [
+        (ChargeCompute(0.25), {"kind": "ChargeCompute", "seconds": 0.25}),
+        (Note("hot page"), {"kind": "Note", "text": "hot page"}),
+        (
+            MigratePages([5, 3, 9], [1, 0, 2], budget=8192),
+            {
+                "kind": "MigratePages",
+                "n_pages": 3,
+                "budget": 8192,
+                "page_lo": 3,
+                "page_hi": 9,
+            },
+        ),
+        (
+            MigratePages([], []),
+            {
+                "kind": "MigratePages",
+                "n_pages": 0,
+                "budget": None,
+                "page_lo": None,
+                "page_hi": None,
+            },
+        ),
+        (
+            InterleaveRegion(np.array([12, 10, 11]), np.array([0, 1, 0]), 7),
+            {
+                "kind": "InterleaveRegion",
+                "page_id": 7,
+                "n_granules": 3,
+                "granule_lo": 10,
+                "granule_hi": 12,
+            },
+        ),
+        (
+            Split2M(4),
+            {"kind": "Split2M", "page_id": 4, "block_collapse": True},
+        ),
+        (
+            Split1G(2, block_collapse=False),
+            {"kind": "Split1G", "page_id": 2, "block_collapse": False},
+        ),
+        (Collapse2M(6), {"kind": "Collapse2M", "chunk": 6, "node": None}),
+        (Collapse2M(6, node=1), {"kind": "Collapse2M", "chunk": 6, "node": 1}),
+        (
+            ToggleThpAlloc(False),
+            {"kind": "ToggleThpAlloc", "enabled": False},
+        ),
+        (
+            ToggleThpPromotion(True),
+            {"kind": "ToggleThpPromotion", "enabled": True},
+        ),
+        (ClearCollapseBlocks(), {"kind": "ClearCollapseBlocks"}),
+        (
+            ReclaimPages(np.array([40, 41])),
+            {
+                "kind": "ReclaimPages",
+                "page_id": None,
+                "n_granules": 2,
+                "granule_lo": 40,
+                "granule_hi": 41,
+            },
+        ),
+        (ReplicatePage(3), {"kind": "ReplicatePage", "page_id": 3}),
+        (ReplicatePageTables(), {"kind": "ReplicatePageTables"}),
+    ]
+
+    @pytest.mark.parametrize("decision, expected", CASES)
+    def test_payload_pinned(self, decision, expected):
+        assert list(decision.payload().items()) == list(expected.items())
+
+    def test_every_kind_is_pinned(self):
+        pinned = {type(decision) for decision, _ in self.CASES}
+        assert pinned == set(TestDecisionMetadata().all_decision_classes())

@@ -1,7 +1,7 @@
 """The program runs on the calling thread alone.
 
 Neither a serial grid nor a colocation scenario starts a thread: grid
-cells run in the caller (or in forked ``process``-backend workers),
+cells run in the caller (or, with ``jobs > 1``, in forked workers),
 and stream banks fill their rows on demand in the thread that reads
 them.  This is the property that lets the whole-program linter carry
 no concurrency analysis.
@@ -52,7 +52,7 @@ def thread_watch(monkeypatch):
 
 def test_serial_grid_starts_no_thread(thread_watch):
     started, before = thread_watch
-    grid = GridRunner(RunSettings.quick(), backend="serial")
+    grid = GridRunner(RunSettings.quick(), jobs=1)
     grid.add("Kmeans", "A", "linux-4k").add("Kmeans", "A", "thp")
     results = grid.run(use_cache=False)
     assert len(results) == 2
@@ -83,7 +83,7 @@ def test_retired_prefetch_knob_starts_no_thread(value, thread_watch,
     now ignored."""
     started, before = thread_watch
     monkeypatch.setenv("REPRO_STREAM_PREFETCH", value)
-    grid = GridRunner(RunSettings.quick(), backend="serial")
+    grid = GridRunner(RunSettings.quick(), jobs=1)
     grid.add("Kmeans", "A", "thp")
     grid.run(use_cache=False)
     assert started == []
