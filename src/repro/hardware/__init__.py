@@ -8,7 +8,7 @@ from repro.hardware.topology import NumaNode, NumaTopology
 from repro.hardware.machines import machine_a, machine_b, machine_by_name
 from repro.hardware.mem_controller import MemoryControllerModel
 from repro.hardware.interconnect import InterconnectModel
-from repro.hardware.caches import CacheModel, che_characteristic_time, lru_hit_rate
+from repro.hardware.caches import CacheModel
 from repro.hardware.tlb import TlbSpec, TlbModel
 from repro.hardware.counters import CounterBank, EpochCounters
 from repro.hardware.ibs import IbsEngine, IbsSamples
@@ -22,8 +22,6 @@ __all__ = [
     "MemoryControllerModel",
     "InterconnectModel",
     "CacheModel",
-    "che_characteristic_time",
-    "lru_hit_rate",
     "TlbSpec",
     "TlbModel",
     "CounterBank",

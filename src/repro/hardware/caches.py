@@ -18,6 +18,7 @@ L2 misses caused by page-table walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -25,84 +26,23 @@ from repro.errors import ConfigurationError
 
 _MAX_BISECTION_STEPS = 80
 
+#: Bound on the process-wide solve memo (``_characteristic_time``).  A
+#: ``validate --quick`` pass needs about 160 distinct solves; the memo
+#: is cleared when full, so a long sweep holds at most this many.
+_SOLVE_MEMO_MAX = 4096
 
-def che_characteristic_time(popularity: np.ndarray, capacity: int) -> float:
-    """Solve for the characteristic time ``T_C`` of an LRU cache.
-
-    Parameters
-    ----------
-    popularity:
-        Per-item access probabilities.  Must be non-negative; zero
-        entries are allowed and ignored.  Need not sum to one (it is
-        normalised internally).
-    capacity:
-        Cache capacity in items; must be positive.
-
-    Returns
-    -------
-    float
-        ``T_C`` in units of accesses.  ``inf`` when every distinct item
-        fits in the cache (the hit rate is then 1).
-    """
-    if capacity <= 0:
-        raise ConfigurationError("cache capacity must be positive")
-    p = np.asarray(popularity, dtype=np.float64)
-    if p.ndim != 1:
-        raise ConfigurationError("popularity must be a 1-D array")
-    if p.size and float(np.min(p)) < 0:
-        raise ConfigurationError("popularity values must be non-negative")
-    p = p[p > 0]
-    if p.size == 0 or p.size <= capacity:
-        return float("inf")
-    total = float(np.sum(p))
-    p = p / total
-
-    def occupied(t: float) -> float:
-        return float(np.sum(-np.expm1(-p * t)))
-
-    lo, hi = 0.0, float(capacity)
-    # Grow hi until the occupancy at hi exceeds the capacity.
-    while occupied(hi) < capacity:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e18:  # pragma: no cover - numeric guard
-            return hi
-    for _ in range(_MAX_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if occupied(mid) < capacity:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+#: ``(counts bytes, weights bytes, capacity) -> T_C`` over live groups.
+_SOLVE_MEMO: Dict[Tuple[bytes, bytes, int], float] = {}
 
 
-def lru_hit_rate(popularity: np.ndarray, capacity: int) -> float:
-    """Aggregate hit rate of an LRU cache under Che's approximation.
-
-    Returns the access-weighted hit probability in ``[0, 1]``.
-    """
-    p = np.asarray(popularity, dtype=np.float64)
-    p = p[p > 0]
-    if p.size == 0:
-        return 1.0
-    t_c = che_characteristic_time(p, capacity)
-    if np.isinf(t_c):
-        return 1.0
-    p = p / float(np.sum(p))
-    hit = float(np.sum(p * -np.expm1(-p * t_c)))
-    return min(max(hit, 0.0), 1.0)
-
-
-def che_characteristic_time_grouped(
+def _live_groups(
     group_counts: np.ndarray, group_weights: np.ndarray, capacity: int
-) -> float:
-    """Characteristic time for popularity given as *groups* of equal items.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked float64 copies of grouped popularity and their live mask.
 
-    Group ``i`` contains ``group_counts[i]`` items which together receive
-    ``group_weights[i]`` of the accesses (each item in the group has
-    probability ``group_weights[i] / group_counts[i]``).  This closed
-    form avoids materialising per-item arrays for working sets of
-    millions of pages.
+    A group is live when it has items and receives accesses.  Every
+    grouped entry point validates here, before it filters or consults
+    the solve memo.
     """
     if capacity <= 0:
         raise ConfigurationError("cache capacity must be positive")
@@ -112,7 +52,26 @@ def che_characteristic_time_grouped(
         raise ConfigurationError("group counts and weights must align")
     if counts.size and (np.any(counts < 0) or np.any(weights < 0)):
         raise ConfigurationError("group counts and weights must be non-negative")
-    live = (counts > 0) & (weights > 0)
+    return counts, weights, (counts > 0) & (weights > 0)
+
+
+def che_characteristic_time_grouped(
+    group_counts: np.ndarray, group_weights: np.ndarray, capacity: int
+) -> float:
+    """Solve for the characteristic time ``T_C`` of an LRU cache.
+
+    Popularity is given as *groups* of equal items: group ``i`` contains
+    ``group_counts[i]`` items which together receive
+    ``group_weights[i]`` of the accesses (each item in the group has
+    probability ``group_weights[i] / group_counts[i]``).  This closed
+    form avoids materialising per-item arrays for working sets of
+    millions of pages.  Groups with zero count or weight are ignored;
+    weights need not sum to one.
+
+    Returns ``T_C`` in units of accesses, ``inf`` when every item fits
+    in the cache (the hit rate is then 1).
+    """
+    counts, weights, live = _live_groups(group_counts, group_weights, capacity)
     counts, weights = counts[live], weights[live]
     if counts.size == 0 or float(np.sum(counts)) <= capacity:
         return float("inf")
@@ -137,17 +96,36 @@ def che_characteristic_time_grouped(
     return 0.5 * (lo + hi)
 
 
+def _characteristic_time(
+    counts: np.ndarray, weights: np.ndarray, capacity: int
+) -> float:
+    """:func:`che_characteristic_time_grouped` through the solve memo.
+
+    ``counts`` and ``weights`` are the live float64 groups returned by
+    :func:`_live_groups`.  The memo maps their exact bytes to the
+    solver's float, so a hit is bit-identical to a fresh solve; it is
+    process-wide because the same popularities recur across epochs,
+    policy intervals and runs.
+    """
+    key = (counts.tobytes(), weights.tobytes(), int(capacity))
+    t_c = _SOLVE_MEMO.get(key)
+    if t_c is None:
+        if len(_SOLVE_MEMO) >= _SOLVE_MEMO_MAX:
+            _SOLVE_MEMO.clear()
+        t_c = che_characteristic_time_grouped(counts, weights, capacity)
+        _SOLVE_MEMO[key] = t_c
+    return t_c
+
+
 def lru_hit_rate_grouped(
     group_counts: np.ndarray, group_weights: np.ndarray, capacity: int
 ) -> float:
-    """Aggregate LRU hit rate for grouped popularity (see above)."""
-    counts = np.asarray(group_counts, dtype=np.float64)
-    weights = np.asarray(group_weights, dtype=np.float64)
-    live = (counts > 0) & (weights > 0)
+    """Aggregate (access-weighted) LRU hit rate for grouped popularity."""
+    counts, weights, live = _live_groups(group_counts, group_weights, capacity)
     counts, weights = counts[live], weights[live]
     if counts.size == 0:
         return 1.0
-    t_c = che_characteristic_time_grouped(counts, weights, capacity)
+    t_c = _characteristic_time(counts, weights, capacity)
     if np.isinf(t_c):
         return 1.0
     weights = weights / float(np.sum(weights))
@@ -165,15 +143,11 @@ def lru_group_hit_rates(
     count or weight get hit rate 1.0 — they never miss because they are
     never accessed).
     """
-    counts = np.asarray(group_counts, dtype=np.float64)
-    weights = np.asarray(group_weights, dtype=np.float64)
-    if counts.shape != weights.shape:
-        raise ConfigurationError("group counts and weights must align")
+    counts, weights, live = _live_groups(group_counts, group_weights, capacity)
     out = np.ones(counts.shape, dtype=np.float64)
-    live = (counts > 0) & (weights > 0)
     if not np.any(live):
         return out
-    t_c = che_characteristic_time_grouped(counts[live], weights[live], capacity)
+    t_c = _characteristic_time(counts[live], weights[live], capacity)
     if np.isinf(t_c):
         return out
     w = weights[live] / float(np.sum(weights[live]))
@@ -211,38 +185,19 @@ class CacheModel:
     l2_miss_penalty_cycles: float = 180.0
     ptes_per_line: int = 8
 
-    def walk_l2_miss_rate(self, page_popularity: np.ndarray) -> float:
-        """Probability that a page-walk leaf reference misses in L2.
-
-        ``page_popularity`` is the per-page access-count vector of the
-        epoch (any non-negative weights).  Consecutive pages share PTE
-        cache lines, so the popularity vector is folded by
-        ``ptes_per_line`` before applying the LRU model.
-        """
-        counts = np.asarray(page_popularity, dtype=np.float64)
-        counts = counts[counts > 0]
-        if counts.size == 0:
-            return 0.0
-        pad = (-counts.size) % self.ptes_per_line
-        if pad:
-            counts = np.concatenate([counts, np.zeros(pad)])
-        lines = counts.reshape(-1, self.ptes_per_line).sum(axis=1)
-        return 1.0 - lru_hit_rate(lines, self.l2_lines_for_walks)
-
     def walk_l2_miss_rate_grouped(
         self, group_counts: np.ndarray, group_weights: np.ndarray
     ) -> float:
-        """Grouped-popularity version of :meth:`walk_l2_miss_rate`.
+        """Probability that a page-walk leaf reference misses in L2.
 
         ``group_counts[i]`` pages share ``group_weights[i]`` of the
-        accesses; consecutive pages share PTE lines, so line counts are
-        the page counts divided by :attr:`ptes_per_line`.
+        epoch's accesses.  Consecutive pages share PTE cache lines, so
+        line counts are the page counts divided by :attr:`ptes_per_line`
+        before applying the LRU model.
         """
-        counts = np.asarray(group_counts, dtype=np.float64)
-        weights = np.asarray(group_weights, dtype=np.float64)
-        live = (counts > 0) & (weights > 0)
-        counts, weights = counts[live], weights[live]
-        if counts.size == 0:
+        capacity = self.l2_lines_for_walks
+        counts, weights, live = _live_groups(group_counts, group_weights, capacity)
+        if not np.any(live):
             return 0.0
-        lines = np.maximum(counts / self.ptes_per_line, 1.0)
-        return 1.0 - lru_hit_rate_grouped(lines, weights, self.l2_lines_for_walks)
+        lines = np.maximum(counts[live] / self.ptes_per_line, 1.0)
+        return 1.0 - lru_hit_rate_grouped(lines, weights[live], capacity)

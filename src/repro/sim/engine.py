@@ -240,9 +240,13 @@ class Tenant:
         # Version-keyed caches over the backing state: backing fractions
         # by (lo, hi) range, per-thread TLB epoch results by group-list
         # identity, and TLB epoch results by group-list *value* (threads
-        # with symmetric working sets — most of them — share one model
-        # evaluation).  All valid while ``asp.version`` is unchanged;
-        # only consulted in no-fault epochs (see ``_pass1_tlb``).
+        # with symmetric working sets — most of them — share one
+        # result).  The Che solves behind a result are memoized for the
+        # whole process in ``repro.hardware.caches``; what the two TLB
+        # memos still save is the per-thread group lookup, the
+        # ``_classify_tlb_groups`` pass and the TLB model's array work.
+        # All valid while ``asp.version`` is unchanged; only consulted
+        # in no-fault epochs (see ``_pass1_tlb``).
         self._backing_version = -1
         self._fraction_cache: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
         self._tlb_memo: Dict[int, Tuple[list, TlbEpochResult]] = {}

@@ -81,6 +81,28 @@ def machine_b_topo() -> NumaTopology:
     return machine_b()
 
 
+@pytest.fixture
+def che_solves(monkeypatch):
+    """Real Che solves made during the test, starting from an empty memo.
+
+    The process-wide solve memo of :mod:`repro.hardware.caches` is
+    swapped for an empty one and its module-level solver for a counting
+    wrapper; both are restored after the test.
+    """
+    from repro.hardware import caches
+
+    monkeypatch.setattr(caches, "_SOLVE_MEMO", {})
+    calls = []
+    solver = caches.che_characteristic_time_grouped
+
+    def counting(*args):
+        calls.append(args)
+        return solver(*args)
+
+    monkeypatch.setattr(caches, "che_characteristic_time_grouped", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def quick_settings() -> RunSettings:
     """Reduced-cost run settings shared across integration tests.

@@ -1,12 +1,17 @@
-"""Tests for the multi-size TLB model."""
+"""Tests for the multi-size TLB model.
+
+``epoch_result`` and ``split_counts_by_size`` are the per-page reference
+path, kept in :mod:`tests.hardware.che_oracle`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware.caches import CacheModel
-from repro.hardware.tlb import TlbModel, TlbSpec, split_counts_by_size
+from repro.hardware.tlb import TlbModel, TlbSpec
 from repro.vm.layout import PageSize
+from tests.hardware.che_oracle import epoch_result, split_counts_by_size
 
 
 @pytest.fixture
@@ -32,33 +37,33 @@ class TestTlbSpec:
 
 class TestEpochResult:
     def test_no_accesses(self, model):
-        res = model.epoch_result({}, 0.0)
+        res = epoch_result(model, {}, 0.0)
         assert res.misses == 0.0
         assert res.walk_cycles == 0.0
 
     def test_fitting_working_set_no_misses(self, model):
         counts = {PageSize.SIZE_4K: np.ones(100)}
-        res = model.epoch_result(counts, 1e6)
+        res = epoch_result(model, counts, 1e6)
         assert res.misses == pytest.approx(0.0)
 
     def test_large_working_set_misses(self, model):
         counts = {PageSize.SIZE_4K: np.ones(100_000)}
-        res = model.epoch_result(counts, 1e6)
+        res = epoch_result(model, counts, 1e6)
         assert res.misses > 0.9e6
         assert res.miss_rate > 0.9
         assert res.walk_cycles > 0
 
     def test_2m_coverage_beats_4k(self, model):
         # Same working set expressed as 512x fewer 2MB translations.
-        res_4k = model.epoch_result({PageSize.SIZE_4K: np.ones(50_000)}, 1e6)
-        res_2m = model.epoch_result(
-            {PageSize.SIZE_2M: np.ones(50_000 // 512)}, 1e6
+        res_4k = epoch_result(model, {PageSize.SIZE_4K: np.ones(50_000)}, 1e6)
+        res_2m = epoch_result(
+            model, {PageSize.SIZE_2M: np.ones(50_000 // 512)}, 1e6
         )
         assert res_2m.misses < res_4k.misses * 0.05
 
     def test_negative_accesses_rejected(self, model):
         with pytest.raises(ConfigurationError):
-            model.epoch_result({}, -1.0)
+            epoch_result(model, {}, -1.0)
 
     def test_coverage_bytes(self, model):
         assert model.coverage_bytes(PageSize.SIZE_4K) == 1024 * 4096
@@ -76,6 +81,26 @@ class TestEpochResultGrouped:
             1e6,
         )
         assert long_runs.misses < base.misses / 50
+
+    def test_unit_groups_match_per_page_oracle(self, model):
+        """One page per group and unit runs is the per-page model; the
+        miss counts agree (the L2-walk fold differs by design: the
+        grouped form cannot see which pages share a PTE line)."""
+        rng = np.random.default_rng(3)
+        by_size = {
+            PageSize.SIZE_4K: rng.random(3000) + 0.01,
+            PageSize.SIZE_2M: rng.random(300) + 0.01,
+        }
+        oracle = epoch_result(model, by_size, 1e6)
+        grouped = model.epoch_result_grouped(
+            {
+                size: (np.ones(pop.size), pop, np.ones(pop.size))
+                for size, pop in by_size.items()
+            },
+            1e6,
+        )
+        assert grouped.misses == pytest.approx(oracle.misses, rel=1e-9)
+        assert grouped.miss_rate == pytest.approx(oracle.miss_rate, rel=1e-9)
 
     def test_empty_groups(self, model):
         res = model.epoch_result_grouped({}, 1e6)
