@@ -46,7 +46,7 @@ from repro.sim.decisions import (
     ToggleThpAlloc,
     ToggleThpPromotion,
 )
-from repro.vm.address_space import BACKING_ID_2M_OFFSET
+from repro.vm.address_space import BACKING_ID_1G_OFFSET, BACKING_ID_2M_OFFSET
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulation
@@ -96,6 +96,13 @@ class ReactiveDecision:
     hot_pages_split: int = 0
     granules_interleaved: int = 0
     notes: List[str] = field(default_factory=list)
+
+
+def _split(page_id: int) -> Decision:
+    """The split decision for a large backing page of either size."""
+    if page_id >= BACKING_ID_1G_OFFSET:
+        return Split1G(page_id)
+    return Split2M(page_id)
 
 
 class ReactiveComponent:
@@ -159,10 +166,7 @@ class ReactiveComponent:
                 pid = int(pid)
                 if not sim.asp.backing_is_live(pid):
                     continue
-                if pid >= (1 << 41):  # 1GB id space
-                    yield Split1G(pid)
-                else:
-                    yield Split2M(pid)
+                yield _split(pid)
                 decision.shared_pages_split += 1
             # Disabling 2MB allocation also parks khugepaged: in Linux,
             # setting THP enabled=never stops both paths.
@@ -179,10 +183,7 @@ class ReactiveComponent:
             if not sim.asp.backing_is_live(pid):
                 continue  # already split above
             granules = sim.asp.granules_of_backing(pid)
-            if pid >= (1 << 41):
-                yield Split1G(pid)
-            else:
-                yield Split2M(pid)
+            yield _split(pid)
             decision.hot_pages_split += 1
             # Interleave the constituent 4KB pages round-robin across
             # nodes, starting at a random offset.

@@ -20,7 +20,7 @@ nodes on one lock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -65,6 +65,10 @@ class IbsSamples:
     #: Whether the sampled access was a store (used by the replication
     #: logic: only never-written pages are safe to replicate).
     is_write: np.ndarray = None
+    #: The batch's page grouping (:class:`repro.core.metrics.SampleGrouping`),
+    #: built by the first decider that asks and shared by the rest of
+    #: the interval; the executor drops it when the interval ends.
+    grouping: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.granule)

@@ -873,6 +873,9 @@ class ActionExecutor:
                 index=index,
                 source=decider.name,
             )
+        # The deciders shared the batch's page grouping; free it with
+        # the interval.
+        samples.grouping = None
         self.totals.merge(summary)
         return summary
 

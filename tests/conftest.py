@@ -103,6 +103,33 @@ def che_solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sample_groupings(monkeypatch):
+    """Sample sorts and backing regroups made during the test.
+
+    :mod:`repro.core.metrics`' two grouping steps are swapped for
+    counting wrappers: a sort appends ``("sort", n_samples)`` and a
+    backing regroup ``("regroup", address_space.version)``.  Tests may
+    append their own markers to the same list.
+    """
+    from repro.core import metrics
+
+    calls = []
+    sort, regroup = metrics._sort_batch, metrics._regroup_by_backing
+
+    def counting_sort(samples, n_nodes):
+        calls.append(("sort", len(samples)))
+        return sort(samples, n_nodes)
+
+    def counting_regroup(grouping, address_space):
+        calls.append(("regroup", address_space.version))
+        return regroup(grouping, address_space)
+
+    monkeypatch.setattr(metrics, "_sort_batch", counting_sort)
+    monkeypatch.setattr(metrics, "_regroup_by_backing", counting_regroup)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def quick_settings() -> RunSettings:
     """Reduced-cost run settings shared across integration tests.
